@@ -20,10 +20,8 @@ from freeinv import (  # noqa: E402
     FreePoly,
     auxiliary_inverse,
     inverse_degree_bound,
-    jacobian_extract,
-    poly_matrix_inverse,
 )
-from freeinv.inverter import pmid_scale  # noqa: E402
+from freeinv.inverter import jacobian_gate  # noqa: E402
 from freeinv.sysolve import _split, _step  # noqa: E402
 
 x1 = FreePoly.letter("x", 1)
@@ -32,8 +30,7 @@ x2 = FreePoly.letter("x", 2)
 
 def main():
     p = (x1 + x1**2 + x2 * x1, x2 - x1**2 - x2 * x1)
-    _, jac = jacobian_extract(p)
-    j_inv = poly_matrix_inverse(jac, pmid_scale(2) * int(jac.degree()))
+    j_inv = jacobian_gate(p)
     system = auxiliary_inverse(p, j_inv)
     bound = inverse_degree_bound(2, 2)
     w = bound * 2 + 1

@@ -28,10 +28,9 @@ from freeinv import (  # noqa: E402
     jacobian_extract,
     compose,
     parse_poly_map,
-    poly_matrix_inverse,
     random_matrix_tuple,
 )
-from freeinv.inverter import pmid_scale  # noqa: E402
+from freeinv.inverter import jacobian_gate  # noqa: E402
 
 x1 = FreePoly.letter("x", 1)
 x2 = FreePoly.letter("x", 2)
@@ -85,7 +84,7 @@ def main():
     show_map("sandwich map (not injective)", p)
     consts, jac = jacobian_extract(p)
     show_matrix("J", jac)
-    j_inv = poly_matrix_inverse(jac, pmid_scale(2) * int(jac.degree()))
+    j_inv = jacobian_gate(p)
     show_matrix("J^-1 (verified)", j_inv)
     system = auxiliary_inverse(p, j_inv)
     print("  auxiliary system:", [format_poly(c) for c in system.components])

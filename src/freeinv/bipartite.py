@@ -13,61 +13,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .deriv import free_derivative
-from .freealg import (
-    NEG_INF,
-    FreePoly,
-    check_alphabet,
-    swap_kinds,
-)
-from .jacobian import (
-    REASON_NO_INVERSE_UP_TO_CAP,
-    REASON_SINGULAR_CONSTANT,
-    REASON_TERM_BUDGET,
-    NotPolyInvertible,
-)
-from .inverter import pmid_scale
-from .scalars import GaussianRational, as_gaussian
-from . import linalg
+from .freealg import FreePoly, Poly, check_alphabet, swap_kinds
+from .jacobian import REASON_TERM_BUDGET, Matrix, poly_matrix_inverse
+from .inverter import rigorous_cap
 
 
 class NotHyporealization(ValueError):
     """The system is not z-affine linear (or not proper)."""
 
 
-class BipartitePoly:
+def _pair_key(key):
+    u, v = key
+    return (tuple(u), tuple(v))
+
+
+class BipartitePoly(Poly):
     """Finite sum of (left word, right word) pairs with exact coefficients."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for (u, v), c in terms.items():
-                g = as_gaussian(c)
-                if g is None:
-                    raise TypeError(f"bad coefficient {c!r}")
-                if g:
-                    clean[(tuple(u), tuple(v))] = g
-        self._terms = clean
-
-    @classmethod
-    def _raw(cls, terms):
-        b = object.__new__(cls)
-        b._terms = terms
-        return b
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
-
-    @classmethod
-    def one(cls):
-        return cls._raw({((), ()): GaussianRational(1)})
-
-    @classmethod
-    def scalar(cls, c):
-        g = as_gaussian(c)
-        return cls._raw({((), ()): g} if g else {})
+    __slots__ = ()
+    _ONE_KEY = ((), ())
+    _concat = staticmethod(lambda k1, k2: (k1[0] + k2[0], k1[1] + k2[1]))
+    _key_degree = staticmethod(lambda k: len(k[0]) + len(k[1]))
+    _norm_key = staticmethod(_pair_key)
 
     @classmethod
     def tensor(cls, left: FreePoly, right: FreePoly):
@@ -80,98 +47,6 @@ class BipartitePoly:
                 prev = out.get(key)
                 out[key] = c if prev is None else prev + c
         return cls._raw({k: c for k, c in out.items() if c})
-
-    def terms(self):
-        return self._terms.items()
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if isinstance(other, BipartitePoly):
-            return self._terms == other._terms
-        g = as_gaussian(other)
-        if g is None:
-            return NotImplemented
-        return self._terms == ({((), ()): g} if g else {})
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __neg__(self):
-        return BipartitePoly._raw({k: -c for k, c in self._terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, BipartitePoly):
-            g = as_gaussian(other)
-            if g is None:
-                return NotImplemented
-            other = BipartitePoly.scalar(g)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            prev = out.get(k)
-            if prev is None:
-                out[k] = c
-            else:
-                s = prev + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return BipartitePoly._raw(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, BipartitePoly):
-            return self + (-other)
-        g = as_gaussian(other)
-        if g is None:
-            return NotImplemented
-        return self + (-g)
-
-    def __mul__(self, other):
-        if not isinstance(other, BipartitePoly):
-            g = as_gaussian(other)
-            if g is None:
-                return NotImplemented
-            if not g:
-                return BipartitePoly.zero()
-            return BipartitePoly._raw({k: c * g for k, c in self._terms.items()})
-        out = {}
-        for (u1, v1), c1 in self._terms.items():
-            for (u2, v2), c2 in other._terms.items():
-                key = (u1 + u2, v1 + v2)
-                c = c1 * c2
-                prev = out.get(key)
-                if prev is None:
-                    out[key] = c
-                else:
-                    s = prev + c
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-        return BipartitePoly._raw(out)
-
-    def __rmul__(self, other):
-        g = as_gaussian(other)
-        if g is None:
-            return NotImplemented
-        return self * g
-
-    def total_degree(self):
-        if not self._terms:
-            return NEG_INF
-        return max(len(u) + len(v) for (u, v) in self._terms)
-
-    def homogeneous_part(self, m):
-        return BipartitePoly._raw(
-            {k: c for k, c in self._terms.items() if len(k[0]) + len(k[1]) == m}
-        )
 
     def substitute_sides(self, left_images, right_images):
         """Homomorphism acting independently on the two sides.
@@ -190,94 +65,17 @@ class BipartitePoly:
             out = out + BipartitePoly.tensor(left, right) * c
         return out
 
-    def __repr__(self):
-        from .parsing import format_bipartite
-
-        return f"BipartitePoly({format_bipartite(self)!r})"
-
     def __str__(self):
         from .parsing import format_bipartite
 
         return format_bipartite(self)
 
 
-class BipartiteMatrix:
+class BipartiteMatrix(Matrix):
     """Square matrix of bipartite polynomials."""
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = tuple(tuple(e for e in row) for row in entries)
-
-    @property
-    def size(self):
-        return len(self.entries)
-
-    @classmethod
-    def identity(cls, n):
-        one = BipartitePoly.one()
-        zero = BipartitePoly.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_scalars(cls, scalars):
-        return cls([[BipartitePoly.scalar(c) for c in row] for row in scalars])
-
-    def __getitem__(self, idx):
-        return self.entries[idx]
-
-    def __eq__(self, other):
-        return isinstance(other, BipartiteMatrix) and self.entries == other.entries
-
-    def __add__(self, other):
-        return BipartiteMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other):
-        return BipartiteMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, BipartiteMatrix):
-            return NotImplemented
-        cols = tuple(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out.append(
-                [
-                    sum((a * b for a, b in zip(row, col)), BipartitePoly.zero())
-                    for col in cols
-                ]
-            )
-        return BipartiteMatrix(out)
-
-    def constant_part(self):
-        return tuple(
-            tuple(e._terms.get(((), ()), GaussianRational(0)) for e in row)
-            for row in self.entries
-        )
-
-    def degree(self):
-        return max((e.total_degree() for row in self.entries for e in row), default=NEG_INF)
-
-    def map_entries(self, fn):
-        return BipartiteMatrix([[fn(e) for e in row] for row in self.entries])
-
-    def term_count(self):
-        return sum(len(e) for row in self.entries for e in row)
-
-    def is_zero(self):
-        return all(not e for row in self.entries for e in row)
-
-    def __repr__(self):
-        from .parsing import format_bipartite
-
-        rows = ", ".join(
-            "[" + ", ".join(format_bipartite(e) for e in row) + "]" for row in self.entries
-        )
-        return f"BipartiteMatrix([{rows}])"
+    __slots__ = ()
+    ring = BipartitePoly
 
 
 def _split_one_x(word):
@@ -308,73 +106,10 @@ def hypo_jacobian(p) -> BipartiteMatrix:
             cell = grid[j - 1][i]
             prev = cell.get(key)
             cell[key] = c if prev is None else prev + c
-    return BipartiteMatrix(
-        [[BipartitePoly({k: c for k, c in cell.items() if c}) for cell in row] for row in grid]
-    )
+    return BipartiteMatrix([[BipartitePoly(cell) for cell in row] for row in grid])
 
 
-def bipartite_matrix_inverse(M: BipartiteMatrix, degree_cap: int, max_terms=None):
-    """Verified two-sided inverse over the bipartite ring, graded by total degree."""
-    if degree_cap < 0:
-        raise ValueError("degree_cap must be >= 0")
-    n = M.size
-    m0 = M.constant_part()
-    m0_inv = linalg.inverse(m0)
-    if m0_inv is None:
-        return NotPolyInvertible(REASON_SINGULAR_CONSTANT, degree_cap)
-    N = BipartiteMatrix.from_scalars(m0) - M
-    deg_n = N.degree()
-    if deg_n == NEG_INF:
-        return BipartiteMatrix.from_scalars(m0_inv)
-    deg_n = int(deg_n)
-    n_layers = {}
-    for d in range(1, deg_n + 1):
-        layer = N.map_entries(lambda e, d=d: e.homogeneous_part(d))
-        if not layer.is_zero():
-            n_layers[d] = layer
-    zero_row = [BipartitePoly.zero()] * n
-
-    def scalar_times(scalars, B):
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = BipartitePoly.zero()
-                for k in range(n):
-                    c = scalars[i][k]
-                    if c:
-                        acc = acc + B[k][j] * c
-                row.append(acc)
-            out.append(row)
-        return BipartiteMatrix(out)
-
-    layers = [BipartiteMatrix.from_scalars(m0_inv)]
-    total = layers[0]
-    zero_run = 0
-    terms = total.term_count()
-    for m in range(1, degree_cap + 1):
-        acc = None
-        for d, Nd in n_layers.items():
-            if d > m:
-                continue
-            part = Nd * layers[m - d]
-            acc = part if acc is None else acc + part
-        layer = BipartiteMatrix([list(zero_row) for _ in range(n)]) if acc is None else scalar_times(m0_inv, acc)
-        layers.append(layer)
-        if layer.is_zero():
-            zero_run += 1
-            if zero_run >= deg_n:
-                break
-        else:
-            zero_run = 0
-            total = total + layer
-            terms += layer.term_count()
-            if max_terms is not None and terms > max_terms:
-                return NotPolyInvertible(REASON_TERM_BUDGET, degree_cap)
-    ident = BipartiteMatrix.identity(n)
-    if M * total == ident and total * M == ident:
-        return total
-    return NotPolyInvertible(REASON_NO_INVERSE_UP_TO_CAP, degree_cap)
+bipartite_matrix_inverse = poly_matrix_inverse
 
 
 @dataclass(frozen=True)
@@ -403,11 +138,8 @@ def injectivity_test(p, cap=None, max_terms=None) -> InjectivityOutcome:
     default rigorous cap a negative answer is a certificate; otherwise it is
     reported as certified=False.
     """
-    g = len(p)
     hj = hypo_jacobian(p)
-    deg = hj.degree()
-    deg = 0 if deg == NEG_INF else int(deg)
-    rigorous = pmid_scale(g) * deg
+    rigorous = rigorous_cap(hj)
     used = rigorous if cap is None else min(cap, rigorous)
     clipped = used < rigorous
     result = bipartite_matrix_inverse(hj, used, max_terms=max_terms)
@@ -477,12 +209,6 @@ class Hyporealization:
             comps.append(acc)
         return ProperAlgebraicSystem(tuple(comps))
 
-    def linear_pairs(self, i, j):
-        """The (U, V) polynomial pairs of component i around z_{j+1}."""
-        return [
-            (FreePoly.monomial(u, c), FreePoly.monomial(v)) for c, u, v in self.linear[i][j]
-        ]
-
 
 def hypomatrix_rep(real: Hyporealization):
     """Assemble (base, Phi) with Phi[j][i] = sum U^T (x) V over the z_{j+1} words
@@ -497,7 +223,5 @@ def hypomatrix_rep(real: Hyporealization):
                 key = (tuple(x_to_y(let) for let in u[::-1]), v)
                 prev = cell.get(key)
                 cell[key] = c if prev is None else prev + c
-    phi = BipartiteMatrix(
-        [[BipartitePoly({k: c for k, c in cell.items() if c}) for cell in row] for row in grid]
-    )
+    phi = BipartiteMatrix([[BipartitePoly(cell) for cell in row] for row in grid])
     return real.base, phi

@@ -29,10 +29,26 @@ DEFAULT_CAP = 64
 DEFAULT_MAX_TERMS = 200_000
 
 
-def _parse_map(strings, g):
+def _parse_map(strings, g, self_map=True):
+    """Parse the components over x1..xg; a self-map must have exactly g of them."""
     p = parsing.parse_poly_map(strings)
+    if self_map and len(p) != g:
+        raise ArityMismatch(f"-g {g} needs {g} components, got {len(p)}")
     check_alphabet(p, g, kinds=("x",))
     return p
+
+
+def _int_at_least(low):
+    """argparse type: an integer >= low."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
 
 
 def _emit(args, payload, text_lines):
@@ -47,12 +63,12 @@ def _emit(args, payload, text_lines):
         print(out)
 
 
-def _matrix_payload(mat_of_polys):
-    return [[parsing.format_poly(e) for e in row] for row in mat_of_polys.entries]
+def _matrix_payload(m):
+    return [[str(e) for e in row] for row in m.entries]
 
 
-def _bip_matrix_payload(m):
-    return [[parsing.format_bipartite(e) for e in row] for row in m.entries]
+def _matrix_lines(rows):
+    return ["[" + ", ".join(row) + "]" for row in rows]
 
 
 def cmd_invert(args):
@@ -76,15 +92,13 @@ def cmd_invert(args):
 
 
 def cmd_jacobian(args):
-    p = _parse_map(args.poly, args.g)
+    p = _parse_map(args.poly, args.g, self_map=False)
     constants, jac = jacobian.jacobian_extract(p)
     payload = {
         "constant": [str(c) for c in constants],
         "jacobian": _matrix_payload(jac),
     }
-    lines = [f"constant: {[str(c) for c in constants]}"]
-    for row in jac.entries:
-        lines.append("[" + ", ".join(parsing.format_poly(e) for e in row) + "]")
+    lines = [f"constant: {payload['constant']}"] + _matrix_lines(payload["jacobian"])
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -95,11 +109,7 @@ def cmd_aux_iterate(args):
     if any(constants):
         print("error: map must have zero constant term", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    _, jac = jacobian.jacobian_extract(p)
-    deg_j = jac.degree()
-    deg_j = 0 if deg_j == float("-inf") else int(deg_j)
-    cap = inverter.pmid_scale(args.g) * deg_j
-    j_inv = jacobian.poly_matrix_inverse(jac, cap, max_terms=args.max_terms or None)
+    j_inv = inverter.jacobian_gate(p, args.max_terms or None)
     if isinstance(j_inv, jacobian.NotPolyInvertible):
         print(f"error: Jacobian not polynomially invertible ({j_inv.reason})", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -132,7 +142,7 @@ def cmd_solve_system(args):
 
 
 def cmd_derive(args):
-    p = _parse_map(args.poly, args.g)
+    p = _parse_map(args.poly, args.g, self_map=False)
     d = deriv.derivative_map(p)
     payload = {"derivative": parsing.format_poly_map(d)}
     lines = [f"D{i + 1} = {s}" for i, s in enumerate(payload["derivative"])]
@@ -152,12 +162,8 @@ def cmd_scion(args):
 def cmd_hypojac(args):
     p = _parse_map(args.poly, args.g)
     hj = bipartite.hypo_jacobian(p)
-    payload = {"hypo_jacobian": _bip_matrix_payload(hj)}
-    lines = [
-        "[" + ", ".join(parsing.format_bipartite(e) for e in row) + "]"
-        for row in hj.entries
-    ]
-    _emit(args, payload, lines)
+    payload = {"hypo_jacobian": _matrix_payload(hj)}
+    _emit(args, payload, _matrix_lines(payload["hypo_jacobian"]))
     return EXIT_OK
 
 
@@ -167,7 +173,7 @@ def cmd_check_injective(args):
     result = bipartite.injectivity_test(p, cap=cap, max_terms=args.max_terms or None)
     payload = {"status": result.status, "cap_used": result.cap_used, "certified": result.certified}
     if result.inverse is not None:
-        payload["inverse"] = _bip_matrix_payload(result.inverse)
+        payload["inverse"] = _matrix_payload(result.inverse)
     lines = [f"status: {result.status} (cap {result.cap_used})"]
     _emit(args, payload, lines)
     if result.status == "injective":
@@ -178,7 +184,7 @@ def cmd_check_injective(args):
 
 
 def cmd_eval(args):
-    p = _parse_map(args.poly, args.g)
+    p = _parse_map(args.poly, args.g, self_map=False)
     if args.at_file:
         with open(args.at_file) as fh:
             tuple_text = fh.read()
@@ -271,7 +277,12 @@ def build_parser():
         sp.add_argument("--out", help="write output to a file instead of stdout")
         sp.add_argument("--seed", type=int, default=0, help="seed for any sampled checks (reproducibility)")
         if cap:
-            sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help="working-degree cap (default 64)")
+            sp.add_argument(
+                "--cap",
+                type=_int_at_least(0),
+                default=DEFAULT_CAP,
+                help="working-degree cap (default 64)",
+            )
             sp.add_argument(
                 "--rigorous",
                 action="store_true",
@@ -279,7 +290,7 @@ def build_parser():
             )
             sp.add_argument(
                 "--max-terms",
-                type=int,
+                type=_int_at_least(0),
                 default=DEFAULT_MAX_TERMS,
                 help="abort to 'indeterminate' beyond this many stored terms (0 = unlimited)",
             )
@@ -294,14 +305,16 @@ def build_parser():
 
     sp = sub.add_parser("aux-iterate", help="k-th self-composition of the auxiliary system, split at its z-floor")
     common(sp)
-    sp.add_argument("-k", type=int, required=True)
-    sp.add_argument("--trunc", type=int, default=DEFAULT_CAP, help="working truncation degree")
-    sp.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
+    sp.add_argument("-k", type=_int_at_least(1), required=True)
+    sp.add_argument(
+        "--trunc", type=_int_at_least(1), default=DEFAULT_CAP, help="working truncation degree"
+    )
+    sp.add_argument("--max-terms", type=_int_at_least(0), default=DEFAULT_MAX_TERMS)
     sp.set_defaults(fn=cmd_aux_iterate)
 
     sp = sub.add_parser("solve-system", help="truncated fixed point of a proper system over x and z")
     sp.add_argument("poly", nargs="+", help="system components over x1.. and z1..")
-    sp.add_argument("--trunc", type=int, default=8)
+    sp.add_argument("--trunc", type=_int_at_least(1), default=8)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--out")
     sp.add_argument("--seed", type=int, default=0)
@@ -356,7 +369,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ParseError, UnboundLetter, ArityMismatch, mateval.SizeMismatch, sysolve.ImproperSystem,
-            sysolve.SingularLinearPart, sysolve.NonzeroConstant, ValueError) as exc:
+            sysolve.SingularLinearPart, sysolve.NonzeroConstant) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

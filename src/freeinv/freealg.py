@@ -4,12 +4,16 @@ A letter is a (kind, index) pair with kind in "xyzwhk" and index >= 1; a word
 is a tuple of letters (the empty tuple is the multiplicative identity).  A
 FreePoly is a finite word -> coefficient map over the exact Gaussian-rational
 field; zero coefficients are never stored, so degree queries are O(#terms).
+Its arithmetic lives in `Poly`, the ring-generic core that the bipartite
+polynomials share.
 
 Canonical term order everywhere is graded lexicographic: by word length, then
 letter by letter with kinds ranked x < y < z < w < h < k.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .scalars import GaussianRational, as_gaussian
 
@@ -43,10 +47,6 @@ def word_key(w):
     return (len(w), tuple((_KIND_RANK[k], i) for (k, i) in w))
 
 
-def z_count(w, kind="z"):
-    return sum(1 for (k, _) in w if k == kind)
-
-
 def _letter_str(let):
     return f"{let[0]}{let[1]}"
 
@@ -67,25 +67,33 @@ def word_str(w) -> str:
     return "*".join(parts)
 
 
-class FreePoly:
-    """A finite sum of words with nonzero exact coefficients."""
+class Poly:
+    """A finite key -> nonzero exact coefficient map over a graded key monoid.
+
+    Subclasses fix the key algebra through hooks: `_ONE_KEY` (the identity
+    key), `_concat` (key product), `_key_degree` (graded degree of a key) and
+    `_norm_key` (the canonical form of a key given to the constructor).
+    Everything else -- normalisation, constructors, equality, ring arithmetic
+    and graded queries -- is shared.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         clean = {}
         if terms:
-            for w, c in terms.items():
+            norm = self._norm_key
+            for key, c in terms.items():
                 g = as_gaussian(c)
                 if g is None:
                     raise TypeError(f"bad coefficient {c!r}")
                 if g:
-                    clean[tuple(w)] = g
+                    clean[norm(key)] = g
         self._terms = clean
 
     @classmethod
-    def _raw(cls, terms: dict) -> "FreePoly":
-        # internal: terms must already be normalized (no zeros, tuple keys)
+    def _raw(cls, terms: dict):
+        # internal: terms must already be normalized (no zeros, canonical keys)
         p = object.__new__(cls)
         p._terms = terms
         return p
@@ -98,14 +106,138 @@ class FreePoly:
 
     @classmethod
     def one(cls):
-        return cls._raw({EMPTY_WORD: GaussianRational(1)})
+        return cls._raw({cls._ONE_KEY: GaussianRational(1)})
 
     @classmethod
     def scalar(cls, c):
         g = as_gaussian(c)
         if g is None:
             raise TypeError(f"bad scalar {c!r}")
-        return cls._raw({EMPTY_WORD: g} if g else {})
+        return cls._raw({cls._ONE_KEY: g} if g else {})
+
+    # -- inspection --------------------------------------------------------
+
+    def terms(self):
+        return self._terms.items()
+
+    def constant_term(self) -> GaussianRational:
+        return self._terms.get(self._ONE_KEY, GaussianRational(0))
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self._terms == other._terms
+        g = as_gaussian(other)
+        if g is None:
+            return NotImplemented
+        return self._terms == ({self._ONE_KEY: g} if g else {})
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+    def degree(self):
+        """Max key degree, or -inf for the zero polynomial."""
+        return max(map(self._key_degree, self._terms), default=NEG_INF)
+
+    def homogeneous_part(self, m: int):
+        deg = self._key_degree
+        return self._raw({k: c for k, c in self._terms.items() if deg(k) == m})
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __neg__(self):
+        return self._raw({k: -c for k, c in self._terms.items()})
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            g = as_gaussian(other)
+            if g is None:
+                return NotImplemented
+            other = self.scalar(g)
+        if len(self._terms) < len(other._terms):
+            self, other = other, self
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            prev = out.get(k)
+            if prev is None:
+                out[k] = c
+            else:
+                s = prev + c
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return self._raw(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, type(self)):
+            return self + (-other)
+        g = as_gaussian(other)
+        if g is None:
+            return NotImplemented
+        return self + (-g)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            g = as_gaussian(other)
+            if g is None:
+                return NotImplemented
+            if not g:
+                return self.zero()
+            return self._raw({k: c * g for k, c in self._terms.items()})
+        concat = self._concat
+        out = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                k = concat(k1, k2)
+                c = c1 * c2
+                prev = out.get(k)
+                if prev is None:
+                    out[k] = c
+                else:
+                    s = prev + c
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        return self._raw(out)
+
+    def __rmul__(self, other):
+        g = as_gaussian(other)
+        if g is None:
+            return NotImplemented
+        return self * g
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are not defined")
+        out = self.one()
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __repr__(self):
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+class FreePoly(Poly):
+    """A finite sum of words with nonzero exact coefficients."""
+
+    __slots__ = ()
+    _ONE_KEY = EMPTY_WORD
+    _concat = staticmethod(operator.add)
+    _key_degree = staticmethod(len)
+    _norm_key = staticmethod(tuple)
 
     @classmethod
     def letter(cls, kind: str, index: int):
@@ -118,42 +250,11 @@ class FreePoly:
             raise TypeError(f"bad coefficient {coeff!r}")
         return cls._raw({tuple(w): g} if g else {})
 
-    # -- inspection --------------------------------------------------------
-
-    def terms(self):
-        return self._terms.items()
-
     def sorted_terms(self):
         return sorted(self._terms.items(), key=lambda t: word_key(t[0]))
 
     def coefficient(self, w) -> GaussianRational:
         return self._terms.get(tuple(w), GaussianRational(0))
-
-    def constant_term(self) -> GaussianRational:
-        return self._terms.get(EMPTY_WORD, GaussianRational(0))
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if isinstance(other, FreePoly):
-            return self._terms == other._terms
-        g = as_gaussian(other)
-        if g is None:
-            return NotImplemented
-        return self._terms == ({EMPTY_WORD: g} if g else {})
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def degree(self):
-        """Max word length, or -inf for the zero polynomial."""
-        if not self._terms:
-            return NEG_INF
-        return max(len(w) for w in self._terms)
 
     def dz_degree(self, kind="z"):
         """Min total length among words containing a letter of `kind`; +inf if none."""
@@ -167,83 +268,6 @@ class FreePoly:
         out = set()
         for w in self._terms:
             out.update(w)
-        return out
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __neg__(self):
-        return FreePoly._raw({w: -c for w, c in self._terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, FreePoly):
-            g = as_gaussian(other)
-            if g is None:
-                return NotImplemented
-            other = FreePoly.scalar(g)
-        if len(self._terms) < len(other._terms):
-            self, other = other, self
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            prev = out.get(w)
-            if prev is None:
-                out[w] = c
-            else:
-                s = prev + c
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-        return FreePoly._raw(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, FreePoly):
-            return self + (-other)
-        g = as_gaussian(other)
-        if g is None:
-            return NotImplemented
-        return self + (-g)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, FreePoly):
-            g = as_gaussian(other)
-            if g is None:
-                return NotImplemented
-            if not g:
-                return FreePoly.zero()
-            return FreePoly._raw({w: c * g for w, c in self._terms.items()})
-        out = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                prev = out.get(w)
-                if prev is None:
-                    out[w] = c
-                else:
-                    s = prev + c
-                    if s:
-                        out[w] = s
-                    else:
-                        del out[w]
-        return FreePoly._raw(out)
-
-    def __rmul__(self, other):
-        g = as_gaussian(other)
-        if g is None:
-            return NotImplemented
-        return self * g
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined in the free algebra")
-        out = FreePoly.one()
-        for _ in range(n):
-            out = out * self
         return out
 
     # -- structure ---------------------------------------------------------
@@ -262,20 +286,6 @@ class FreePoly:
         if bound < 0:
             raise ValueError("truncation bound must be >= 0")
         return FreePoly._raw({w: c for w, c in self._terms.items() if len(w) <= bound})
-
-    def homogeneous_part(self, m: int):
-        return FreePoly._raw({w: c for w, c in self._terms.items() if len(w) == m})
-
-    def by_degree(self):
-        out = {}
-        for w, c in self._terms.items():
-            out.setdefault(len(w), {})[w] = c
-        return {m: FreePoly._raw(t) for m, t in out.items()}
-
-    def __repr__(self):
-        from .parsing import format_poly
-
-        return f"FreePoly({format_poly(self)!r})"
 
     def __str__(self):
         from .parsing import format_poly

@@ -29,6 +29,7 @@ from .jacobian import (
     REASON_SINGULAR_CONSTANT,
     REASON_TERM_BUDGET,
     NotPolyInvertible,
+    auxiliary_inverse,
     jacobian_extract,
     poly_matrix_inverse,
 )
@@ -58,6 +59,21 @@ def pmid_f(n: int) -> int:
 
 def pmid_scale(n: int) -> int:
     return 3**n * pmid_f(n)
+
+
+def rigorous_cap(M) -> int:
+    """Degree cap 3^n f(n) deg(M) past which a square polynomial matrix over
+    either ring provably has no polynomial inverse."""
+    deg = M.degree()
+    return pmid_scale(M.rows) * (0 if deg == NEG_INF else int(deg))
+
+
+def jacobian_gate(p0, max_terms=None):
+    """Verified inverse of the left Jacobian of the constant-free map p0 at the
+    rigorous cap, or NotPolyInvertible (a proof of non-injectivity unless the
+    term budget cut it short)."""
+    _, jac = jacobian_extract(p0)
+    return poly_matrix_inverse(jac, rigorous_cap(jac), max_terms=max_terms)
 
 
 @dataclass(frozen=True)
@@ -164,11 +180,7 @@ def invert(p, cap: int | None = None, max_terms: int | None = None) -> Inversion
         )
     deg_p = int(deg_p)
 
-    _, jac = jacobian_extract(p0)
-    deg_j = jac.degree()
-    deg_j = 0 if deg_j == NEG_INF else int(deg_j)
-    jac_cap = pmid_scale(g) * deg_j
-    j_inv = poly_matrix_inverse(jac, jac_cap, max_terms=max_terms)
+    j_inv = jacobian_gate(p0, max_terms)
     if isinstance(j_inv, NotPolyInvertible):
         if j_inv.reason == REASON_SINGULAR_CONSTANT:
             return InversionOutcome(
@@ -176,13 +188,11 @@ def invert(p, cap: int | None = None, max_terms: int | None = None) -> Inversion
             )
         if j_inv.reason == REASON_TERM_BUDGET:
             return InversionOutcome(
-                OUTCOME_INDETERMINATE, reason=REASON_BUDGET, cap_used=jac_cap
+                OUTCOME_INDETERMINATE, reason=REASON_BUDGET, cap_used=j_inv.cap
             )
         return InversionOutcome(
             OUTCOME_NOT_INJECTIVE, reason=REASON_JACOBIAN_NOT_POLY_INVERTIBLE
         )
-
-    from .jacobian import auxiliary_inverse
 
     system = auxiliary_inverse(p0, j_inv)
     bound = inverse_degree_bound(g, deg_p)

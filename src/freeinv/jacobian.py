@@ -3,10 +3,15 @@
 The left Jacobian of a map p is the unique matrix J with
 p(x) = p(0) + x*J(x); entry J[s][j] collects the words of p_j that start with
 x_{s+1}, with that first letter removed.
+
+`Matrix` and `poly_matrix_inverse` are ring-generic: `PolyMatrix` (free
+polynomials) and the bipartite matrices of `freeinv.bipartite` only name
+their entry ring, and both inverses run through the one series engine.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import linalg
@@ -35,13 +40,14 @@ class NotPolyInvertible:
     cap: int | None = None
 
 
-class PolyMatrix:
-    """Rectangular matrix of free polynomials."""
+class Matrix:
+    """Rectangular matrix over the polynomial ring `ring`, set by each subclass."""
 
     __slots__ = ("entries",)
+    ring = None
 
     def __init__(self, entries):
-        self.entries = tuple(tuple(e for e in row) for row in entries)
+        self.entries = tuple(tuple(row) for row in entries)
 
     @property
     def rows(self):
@@ -53,51 +59,56 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, n):
-        one = FreePoly.one()
-        zero = FreePoly.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls.from_scalars([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_scalars(cls, scalars):
-        return cls([[FreePoly.scalar(c) for c in row] for row in scalars])
+        return cls([[cls.ring.scalar(c) for c in row] for row in scalars])
 
     def __getitem__(self, idx):
         return self.entries[idx]
 
     def __eq__(self, other):
-        return isinstance(other, PolyMatrix) and self.entries == other.entries
+        return isinstance(other, type(self)) and self.entries == other.entries
 
     def __hash__(self):
         return hash(self.entries)
 
-    def __add__(self, other):
-        self._dim_check(other, same=True)
-        return PolyMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
+    def _entrywise(self, other, op):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError(
+                f"dimension mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
+            )
+        return type(self)(
+            [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
         )
+
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        self._dim_check(other, same=True)
-        return PolyMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        return self._entrywise(other, operator.sub)
 
     def __mul__(self, other):
-        if not isinstance(other, PolyMatrix):
+        if not isinstance(other, type(self)):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
+        zero = self.ring.zero()
         cols = tuple(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out.append(
-                [sum((a * b for a, b in zip(row, col)), FreePoly.zero()) for col in cols]
-            )
-        return PolyMatrix(out)
+        return type(self)(
+            [[sum((a * b for a, b in zip(row, col)), zero) for col in cols] for row in self.entries]
+        )
 
-    def _dim_check(self, other, same=False):
-        if same and (self.rows != other.rows or self.cols != other.cols):
-            raise ValueError("dimension mismatch")
+    def scaled(self, scalars):
+        """The product S * self for a matrix S of exact scalars."""
+        zero = self.ring.zero()
+        cols = tuple(zip(*self.entries))
+        return type(self)(
+            [[sum((e * c for e, c in zip(col, row) if c), zero) for col in cols] for row in scalars]
+        )
 
     def constant_part(self):
         return tuple(tuple(e.constant_term() for e in row) for row in self.entries)
@@ -106,7 +117,7 @@ class PolyMatrix:
         return max((e.degree() for row in self.entries for e in row), default=NEG_INF)
 
     def map_entries(self, fn):
-        return PolyMatrix([[fn(e) for e in row] for row in self.entries])
+        return type(self)([[fn(e) for e in row] for row in self.entries])
 
     def term_count(self):
         return sum(len(e) for row in self.entries for e in row)
@@ -115,12 +126,15 @@ class PolyMatrix:
         return all(not e for row in self.entries for e in row)
 
     def __repr__(self):
-        from .parsing import format_poly
+        rows = ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
+        return f"{type(self).__name__}([{rows}])"
 
-        rows = ", ".join(
-            "[" + ", ".join(format_poly(e) for e in row) + "]" for row in self.entries
-        )
-        return f"PolyMatrix([{rows}])"
+
+class PolyMatrix(Matrix):
+    """Rectangular matrix of free polynomials."""
+
+    __slots__ = ()
+    ring = FreePoly
 
 
 def jacobian_extract(p):
@@ -162,52 +176,37 @@ def reconstruct(constants, J):
     return tuple(out)
 
 
-def _scalar_times_polymatrix(scalars, M):
-    rows = len(scalars)
-    inner = len(scalars[0])
-    cols = M.cols
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = FreePoly.zero()
-            for k in range(inner):
-                c = scalars[i][k]
-                if c:
-                    acc = acc + M[k][j] * c
-            row.append(acc)
-        out.append(row)
-    return PolyMatrix(out)
-
-
-def poly_matrix_inverse(M: PolyMatrix, degree_cap: int, max_terms=None):
-    """Two-sided polynomial inverse of a square matrix, or NotPolyInvertible.
+def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
+    """Two-sided inverse of a square polynomial matrix over either ring, or
+    NotPolyInvertible.
 
     Accumulates the geometric-series inverse degree layer by degree layer up to
-    `degree_cap`, then verifies M*R = I = R*M exactly, so a returned matrix is
-    unconditionally correct.  At the rigorous cap a negative answer proves no
-    polynomial inverse exists; at a smaller cap it means none up to the cap.
+    `degree_cap` (layers are graded by the ring's key degree), then verifies
+    M*R = I = R*M exactly, so a returned matrix is unconditionally correct.  At
+    the rigorous cap a negative answer proves no polynomial inverse exists; at
+    a smaller cap it means none up to the cap.
     """
     if M.rows != M.cols:
         raise ValueError("only square matrices can be inverted")
     if degree_cap < 0:
         raise ValueError("degree_cap must be >= 0")
+    cls = type(M)
     n = M.rows
     m0 = M.constant_part()
     m0_inv = linalg.inverse(m0)
     if m0_inv is None:
         return NotPolyInvertible(REASON_SINGULAR_CONSTANT, degree_cap)
     # N = M(0) - M has no constant term; R solves M0*R = I + N*R layerwise.
-    N = PolyMatrix.from_scalars(m0) - M
+    N = cls.from_scalars(m0) - M
     deg_n = N.degree()
     if deg_n == NEG_INF:
-        return PolyMatrix.from_scalars(m0_inv)
+        return cls.from_scalars(m0_inv)
     deg_n = int(deg_n)
     n_layers = {
         d: N.map_entries(lambda e, d=d: e.homogeneous_part(d)) for d in range(1, deg_n + 1)
     }
     n_layers = {d: L for d, L in n_layers.items() if not L.is_zero()}
-    layers = [PolyMatrix.from_scalars(m0_inv)]
+    layers = [cls.from_scalars(m0_inv)]
     total = layers[0]
     zero_run = 0
     terms = total.term_count()
@@ -218,11 +217,7 @@ def poly_matrix_inverse(M: PolyMatrix, degree_cap: int, max_terms=None):
                 continue
             part = Nd * layers[m - d]
             acc = part if acc is None else acc + part
-        layer = (
-            PolyMatrix([[FreePoly.zero()] * n for _ in range(n)])
-            if acc is None
-            else _scalar_times_polymatrix(m0_inv, acc)
-        )
+        layer = cls.from_scalars([[0] * n] * n) if acc is None else acc.scaled(m0_inv)
         layers.append(layer)
         if layer.is_zero():
             zero_run += 1
@@ -234,7 +229,7 @@ def poly_matrix_inverse(M: PolyMatrix, degree_cap: int, max_terms=None):
             terms += layer.term_count()
             if max_terms is not None and terms > max_terms:
                 return NotPolyInvertible(REASON_TERM_BUDGET, degree_cap)
-    ident = PolyMatrix.identity(n)
+    ident = cls.identity(n)
     if M * total == ident and total * M == ident:
         return total
     return NotPolyInvertible(REASON_NO_INVERSE_UP_TO_CAP, degree_cap)

@@ -152,7 +152,7 @@ def eval_bipartite(b, Y: MatrixTuple):
 def eval_bipartite_matrix(M: BipartiteMatrix, Y: MatrixTuple):
     """Assemble the g x g grid of n^2 x n^2 blocks into one gn^2 x gn^2 matrix."""
     n2 = Y.n * Y.n
-    g = M.size
+    g = M.rows
     blocks = [[eval_bipartite(M[j][i], Y) for i in range(g)] for j in range(g)]
     rows = []
     for j in range(g):

@@ -96,6 +96,8 @@ def _parse_simple_scalar(cur, *, allow_sign=False):
         kind2, val2, _ = cur.peek()
         if kind2 != "number":
             cur.error("expected a denominator after '/'")
+        if not int(val2):
+            cur.error("zero denominator")
         cur.next()
         num /= int(val2)
     kind, val, _ = cur.peek()
@@ -324,6 +326,8 @@ def parse_matrix_tuple(text: str):
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     if not isinstance(data, list) or not data:
         raise ParseError("expected a nonempty JSON array of matrices")
+    if not all(isinstance(m, list) and m and all(isinstance(r, list) for r in m) for m in data):
+        raise ParseError("each matrix must be a nonempty JSON array of rows")
     mats = []
     for mat in data:
         rows = []

@@ -1,5 +1,7 @@
 """Bipartite ring, packed-derivative matrices, hypomatrix representations."""
 
+import operator
+
 import pytest
 from hypothesis import given
 
@@ -10,6 +12,7 @@ from freeinv import (
     Hyporealization,
     NotHyporealization,
     NotPolyInvertible,
+    PolyMatrix,
     ProperAlgebraicSystem,
     bipartite_matrix_inverse,
     compose,
@@ -96,6 +99,23 @@ def test_hypo_jacobian_classic():
 def test_bipartite_inverse_identity():
     ident = BipartiteMatrix.identity(2)
     assert bipartite_matrix_inverse(ident, 0) == ident
+
+
+@pytest.mark.parametrize("ring", [FreePoly, BipartitePoly])
+@pytest.mark.parametrize("bad", ["bad", 1.5, None, x1], ids=["str", "float", "none", "poly"])
+def test_scalar_rejects_non_scalars(ring, bad):
+    with pytest.raises(TypeError):
+        ring.scalar(bad)
+
+
+@pytest.mark.parametrize("matrix", [PolyMatrix, BipartiteMatrix])
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_matrix_dimension_mismatch_raises(matrix, op):
+    a, b = matrix.identity(2), matrix.identity(3)
+    with pytest.raises(ValueError):
+        getattr(operator, op)(a, b)
+    with pytest.raises(ValueError):
+        getattr(operator, op)(b, a)
 
 
 @pytest.mark.parametrize("cap", [2, 9, 30])

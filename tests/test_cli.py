@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from freeinv.cli import main
 
 
@@ -130,3 +132,72 @@ def test_scion_command(capsys):
     code, out, _ = run_cli(capsys, "scion", "-g", "2", "x1", "x2 - x1^2", "--json")
     assert code == 0
     assert json.loads(out)["scion"] == ["x1", "x2 - x1*y1 - y1*x1", "y1", "y2"]
+
+
+def exit_code(argv):
+    """Exit code of the CLI, including argparse's own exit on rejected options."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+SELF_MAP_COUNT_CASES = [
+    ["invert", "-g", "2", "x1"],
+    ["check-injective", "-g", "3", "x1", "x2"],
+    ["aux-iterate", "-g", "3", "x1", "x2", "-k", "1"],
+    ["hypojac", "-g", "1", "x1", "x1"],
+    ["scion", "-g", "3", "x1", "x2"],
+    ["verify", "-g", "3", "--p", "x1", "x2", "--q", "x1", "x2"],
+    ["verify", "-g", "2", "--p", "x1", "x2", "--q", "x1"],
+]
+
+
+def test_self_map_component_count_must_equal_g(capsys):
+    for argv in SELF_MAP_COUNT_CASES:
+        assert exit_code(argv) == 2, argv
+        assert "components" in capsys.readouterr().err
+    # derive and eval take -g as the alphabet size, not the component count
+    assert exit_code(["derive", "-g", "2", "x1*x2"]) == 0
+    assert exit_code(["eval", "-g", "2", "x1*x2", "--at", '[[["1"]],[["2"]]]']) == 0
+
+
+NUMERIC_INPUT_CASES = [
+    (["invert", "-g", "2", "x1", "x2 - x1^2", "--cap", "-5"], 2),
+    (["invert", "-g", "2", "x1", "x2 - x1^2", "--max-terms", "-3"], 2),
+    (["check-injective", "-g", "2", "x1", "x2 - x1^2", "--cap", "-1"], 2),
+    (["check-injective", "-g", "2", "x1", "x2 - x1^2", "--max-terms", "-1"], 2),
+    (["aux-iterate", "-g", "2", "x1", "x2 - x1*x2*x1", "-k", "0"], 2),
+    (["aux-iterate", "-g", "2", "x1", "x2 - x1*x2*x1", "-k", "2", "--trunc", "0"], 2),
+    (["aux-iterate", "-g", "2", "x1", "x2 - x1*x2*x1", "-k", "2", "--max-terms", "-1"], 2),
+    (["solve-system", "x1", "x2 + x1*z2*z1", "--trunc", "0"], 2),
+    (["invert", "-g", "2", "x1", "x2", "--cap", "two"], 2),
+    (["eval", "-g", "1", "x1", "--at", "[[1]]"], 2),
+    (["eval", "-g", "1", "x1", "--at", "[1]"], 2),
+    (["eval", "-g", "1", "x1", "--at", '[[["1/0"]]]'], 2),
+    (["invert", "-g", "1", "1/0*x1"], 2),
+    # the smallest accepted values still run
+    (["invert", "-g", "2", "x1", "x2 - x1^2", "--max-terms", "0"], 0),
+    (["invert", "-g", "2", "x1", "x2 - x1*x2*x1", "--cap", "0"], 3),
+    (["aux-iterate", "-g", "2", "x1", "x2 - x1*x2*x1", "-k", "1", "--trunc", "1"], 0),
+    (["solve-system", "x1", "x2 + x1*z2*z1", "--trunc", "1"], 0),
+]
+
+
+def test_numeric_and_shape_input_exit_codes(capsys):
+    for argv, expected in NUMERIC_INPUT_CASES:
+        assert exit_code(argv) == expected, argv
+        err = capsys.readouterr().err
+        if expected == 2:
+            assert "error" in err and "Traceback" not in err, argv
+
+
+def test_internal_value_error_is_not_an_input_error(monkeypatch):
+    from freeinv import inverter
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal defect")
+
+    monkeypatch.setattr(inverter, "invert", broken)
+    with pytest.raises(ValueError, match="internal defect"):
+        main(["invert", "-g", "2", "x1", "x2"])
