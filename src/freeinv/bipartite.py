@@ -46,7 +46,7 @@ class BipartitePoly(Poly):
                 key = (lw, rw)
                 prev = out.get(key)
                 out[key] = c if prev is None else prev + c
-        return cls._raw({k: c for k, c in out.items() if c})
+        return cls(out)
 
     def substitute_sides(self, left_images, right_images):
         """Homomorphism acting independently on the two sides.

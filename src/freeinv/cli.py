@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 mathematical success, 1 mathematical negative (not injective /
-verification false), 2 input error, 3 indeterminate (a cap or budget cut the
-search short of the rigorous bound).
+verification false), 2 input error (including a file that cannot be read or
+written), 3 indeterminate (a cap or budget cut the search short of the
+rigorous bound), 4 internal error (an uncaught exception; `run` prints its
+traceback, `main` lets it propagate).
 
 The inversion loop follows the auxiliary-system iteration; the Jacobian gate
 treats "no polynomial inverse of the Jacobian up to the rigorous degree cap"
@@ -24,9 +26,14 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INDETERMINATE = 3
+EXIT_INTERNAL_ERROR = 4
 
 DEFAULT_CAP = 64
 DEFAULT_MAX_TERMS = 200_000
+
+
+class FileAccessError(Exception):
+    """A file named on the command line cannot be read or written."""
 
 
 def _parse_map(strings, g, self_map=True):
@@ -57,8 +64,11 @@ def _emit(args, payload, text_lines):
     else:
         out = "\n".join(text_lines)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            raise FileAccessError(f"cannot write --out file: {exc}") from exc
     else:
         print(out)
 
@@ -186,8 +196,11 @@ def cmd_check_injective(args):
 def cmd_eval(args):
     p = _parse_map(args.poly, args.g, self_map=False)
     if args.at_file:
-        with open(args.at_file) as fh:
-            tuple_text = fh.read()
+        try:
+            with open(args.at_file) as fh:
+                tuple_text = fh.read()
+        except OSError as exc:
+            raise FileAccessError(f"cannot read --at-file: {exc}") from exc
     else:
         tuple_text = args.at
     X = parsing.parse_matrix_tuple(tuple_text)
@@ -369,10 +382,23 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ParseError, UnboundLetter, ArityMismatch, mateval.SizeMismatch, sysolve.ImproperSystem,
-            sysolve.SingularLinearPart, sysolve.NonzeroConstant) as exc:
+            sysolve.SingularLinearPart, sysolve.NonzeroConstant, FileAccessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 
+def run(argv=None) -> int:
+    """Entry point of the `freeinv` command and `python -m freeinv`: `main`,
+    with any uncaught exception printed as a traceback and reported as exit
+    code 4 rather than escaping as exit 1, the "not injective" code."""
+    try:
+        return main(argv)
+    except Exception:
+        import traceback  # only on this path, to keep start-up lean
+
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

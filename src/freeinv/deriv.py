@@ -23,7 +23,7 @@ def free_derivative(f: FreePoly, *, base_kind="x", direction_kind="y") -> FreePo
             nw = w[:pos] + ((direction_kind, idx),) + w[pos + 1 :]
             prev = out.get(nw)
             out[nw] = c if prev is None else prev + c
-    return FreePoly({w: c for w, c in out.items() if c})
+    return FreePoly(out)
 
 
 def derivative_map(p):

@@ -2,10 +2,18 @@
 
 A letter is a (kind, index) pair with kind in "xyzwhk" and index >= 1; a word
 is a tuple of letters (the empty tuple is the multiplicative identity).  A
-FreePoly is a finite word -> coefficient map over the exact Gaussian-rational
-field; zero coefficients are never stored, so degree queries are O(#terms).
-Its arithmetic lives in `Poly`, the ring-generic core that the bipartite
-polynomials share.
+FreePoly is a finite word -> coefficient map over the exact Gaussian
+rationals; zero coefficients are never stored, so degree queries are
+O(#terms).  Its arithmetic lives in `Poly`, the ring-generic core that the
+bipartite polynomials share.
+
+Each stored coefficient has its narrowest exact type (`scalars.exact`): an
+int, else a Fraction, else a GaussianRational.  The constructor narrows every
+coefficient it is given; the ring operations and substitution take sums and
+products of stored coefficients with the types' own arithmetic, which stays
+narrow except that Fractions may add or multiply to an integer -- `_settled`
+narrows those once per result.  Integer maps therefore run on native int
+arithmetic throughout.
 
 Canonical term order everywhere is graded lexicographic: by word length, then
 letter by letter with kinds ranked x < y < z < w < h < k.
@@ -14,8 +22,9 @@ letter by letter with kinds ranked x < y < z < w < h < k.
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 
-from .scalars import GaussianRational, as_gaussian
+from .scalars import exact
 
 KINDS = "xyzwhk"
 _KIND_RANK = {k: r for r, k in enumerate(KINDS)}
@@ -67,6 +76,18 @@ def word_str(w) -> str:
     return "*".join(parts)
 
 
+def _settled(terms: dict) -> dict:
+    """`terms` with every integral Fraction narrowed to an int.
+
+    Sums and products of stored coefficients keep their narrowest type except
+    when Fractions add or multiply to an integer; a dict without a Fraction is
+    returned as is.
+    """
+    if Fraction in set(map(type, terms.values())):
+        return {k: exact(c) for k, c in terms.items()}
+    return terms
+
+
 class Poly:
     """A finite key -> nonzero exact coefficient map over a graded key monoid.
 
@@ -84,7 +105,7 @@ class Poly:
         if terms:
             norm = self._norm_key
             for key, c in terms.items():
-                g = as_gaussian(c)
+                g = exact(c)
                 if g is None:
                     raise TypeError(f"bad coefficient {c!r}")
                 if g:
@@ -106,11 +127,11 @@ class Poly:
 
     @classmethod
     def one(cls):
-        return cls._raw({cls._ONE_KEY: GaussianRational(1)})
+        return cls._raw({cls._ONE_KEY: 1})
 
     @classmethod
     def scalar(cls, c):
-        g = as_gaussian(c)
+        g = exact(c)
         if g is None:
             raise TypeError(f"bad scalar {c!r}")
         return cls._raw({cls._ONE_KEY: g} if g else {})
@@ -120,8 +141,8 @@ class Poly:
     def terms(self):
         return self._terms.items()
 
-    def constant_term(self) -> GaussianRational:
-        return self._terms.get(self._ONE_KEY, GaussianRational(0))
+    def constant_term(self):
+        return self._terms.get(self._ONE_KEY, 0)
 
     def __len__(self):
         return len(self._terms)
@@ -132,7 +153,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, type(self)):
             return self._terms == other._terms
-        g = as_gaussian(other)
+        g = exact(other)
         if g is None:
             return NotImplemented
         return self._terms == ({self._ONE_KEY: g} if g else {})
@@ -155,7 +176,7 @@ class Poly:
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
-            g = as_gaussian(other)
+            g = exact(other)
             if g is None:
                 return NotImplemented
             other = self.scalar(g)
@@ -172,14 +193,14 @@ class Poly:
                     out[k] = s
                 else:
                     del out[k]
-        return self._raw(out)
+        return self._raw(_settled(out))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, type(self)):
             return self + (-other)
-        g = as_gaussian(other)
+        g = exact(other)
         if g is None:
             return NotImplemented
         return self + (-g)
@@ -189,12 +210,12 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, type(self)):
-            g = as_gaussian(other)
+            g = exact(other)
             if g is None:
                 return NotImplemented
             if not g:
                 return self.zero()
-            return self._raw({k: c * g for k, c in self._terms.items()})
+            return self._raw(_settled({k: c * g for k, c in self._terms.items()}))
         concat = self._concat
         out = {}
         for k1, c1 in self._terms.items():
@@ -210,10 +231,10 @@ class Poly:
                         out[k] = s
                     else:
                         del out[k]
-        return self._raw(out)
+        return self._raw(_settled(out))
 
     def __rmul__(self, other):
-        g = as_gaussian(other)
+        g = exact(other)
         if g is None:
             return NotImplemented
         return self * g
@@ -241,11 +262,11 @@ class FreePoly(Poly):
 
     @classmethod
     def letter(cls, kind: str, index: int):
-        return cls._raw({(letter(kind, index),): GaussianRational(1)})
+        return cls._raw({(letter(kind, index),): 1})
 
     @classmethod
     def monomial(cls, w, coeff=1):
-        g = as_gaussian(coeff)
+        g = exact(coeff)
         if g is None:
             raise TypeError(f"bad coefficient {coeff!r}")
         return cls._raw({tuple(w): g} if g else {})
@@ -253,8 +274,8 @@ class FreePoly(Poly):
     def sorted_terms(self):
         return sorted(self._terms.items(), key=lambda t: word_key(t[0]))
 
-    def coefficient(self, w) -> GaussianRational:
-        return self._terms.get(tuple(w), GaussianRational(0))
+    def coefficient(self, w):
+        return self._terms.get(tuple(w), 0)
 
     def dz_degree(self, kind="z"):
         """Min total length among words containing a letter of `kind`; +inf if none."""
@@ -279,7 +300,7 @@ class FreePoly(Poly):
             rw = w[::-1]
             prev = out.get(rw)
             out[rw] = c if prev is None else prev + c
-        return FreePoly._raw({w: c for w, c in out.items() if c})
+        return FreePoly(out)
 
     def truncate(self, bound: int):
         """Drop all words of length > bound."""
@@ -346,7 +367,7 @@ def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=Non
                     out[aw] = s
                 else:
                     del out[aw]
-    return FreePoly._raw(out), dropped
+    return FreePoly._raw(_settled(out)), dropped
 
 
 def substitute(f: FreePoly, images, *, default_identity=False, trunc=None) -> FreePoly:
@@ -365,7 +386,7 @@ def rename_letters(f: FreePoly, mapper) -> FreePoly:
         nw = tuple(fn(let) for let in w)
         prev = out.get(nw)
         out[nw] = c if prev is None else prev + c
-    return FreePoly._raw({w: c for w, c in out.items() if c})
+    return FreePoly(out)
 
 
 def swap_kinds(f: FreePoly, kind_a: str, kind_b: str) -> FreePoly:

@@ -158,10 +158,7 @@ def jacobian_extract(p):
             row = grid[s - 1][j]
             prev = row.get(rest)
             row[rest] = c if prev is None else prev + c
-    entries = [
-        [FreePoly({w: c for w, c in cell.items() if c}) for cell in row] for row in grid
-    ]
-    return constants, PolyMatrix(entries)
+    return constants, PolyMatrix([[FreePoly(cell) for cell in row] for row in grid])
 
 
 def reconstruct(constants, J):

@@ -1,7 +1,10 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Matrices are immutable tuples of row tuples of GaussianRational.  No floating
-point anywhere; singularity is decided exactly by Gauss-Jordan elimination.
+Matrices are immutable tuples of row tuples of exact scalars: `mat`,
+`identity` and `zeros` build them from GaussianRational values, and the
+entries of computed matrices are whatever exact type GaussianRational
+arithmetic narrows its results to (see `freeinv.scalars`).  No floating point
+anywhere; singularity is decided exactly by Gauss-Jordan elimination.
 """
 
 from __future__ import annotations

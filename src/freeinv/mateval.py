@@ -213,7 +213,7 @@ def hyporational_eval(real: Hyporealization, X: MatrixTuple, component: int):
 
 
 def to_complex_matrix(a):
-    return [[complex(e.re, e.im) for e in row] for row in a]
+    return [[complex(e) for e in row] for row in a]
 
 
 def eval_poly_float(f: FreePoly, X: MatrixTuple):
@@ -235,7 +235,7 @@ def eval_poly_float(f: FreePoly, X: MatrixTuple):
                 [sum(acc[i][k] * m[k][j] for k in range(n)) for j in range(n)]
                 for i in range(n)
             ]
-        cc = complex(c.re, c.im)
+        cc = complex(c)
         for i in range(n):
             for j in range(n):
                 out[i][j] += cc * acc[i][j]

@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 
 from .freealg import KINDS, FreePoly, word_key, word_str
-from .scalars import GaussianRational, format_scalar, scalar_needs_parens
+from .scalars import GaussianRational, as_gaussian, format_scalar, scalar_needs_parens
 
 
 class ParseError(ValueError):
@@ -170,7 +170,7 @@ def _parse_term(cur):
     if coeff is None and not word:
         cur.error("expected a term")
     if coeff is None:
-        coeff = GaussianRational(1)
+        coeff = 1
     return word, coeff
 
 
@@ -207,7 +207,7 @@ def format_poly(f: FreePoly) -> str:
         if scalar_needs_parens(c):
             piece, sign = f"({format_scalar(c)})" + ("" if not w else f"*{body}"), "+"
         else:
-            neg = (c.re or c.im) < 0
+            neg = (c.real or c.imag) < 0
             mag = -c if neg else c
             sign = "-" if neg else "+"
             if mag == 1 and w:
@@ -263,7 +263,7 @@ def parse_bipartite(text: str):
         else:
             right = _parse_word_factors(cur)
         if coeff is None:
-            coeff = GaussianRational(1)
+            coeff = 1
         coeff = coeff * sign
         key = (left, right)
         prev = terms.get(key)
@@ -291,7 +291,7 @@ def format_bipartite(b) -> str:
         if scalar_needs_parens(c):
             piece, sign = f"({format_scalar(c)})*{body}", "+"
         else:
-            neg = (c.re or c.im) < 0
+            neg = (c.real or c.imag) < 0
             mag = -c if neg else c
             sign = "-" if neg else "+"
             piece = body if mag == 1 else f"{format_scalar(mag)}*{body}"
@@ -314,7 +314,8 @@ def parse_scalar(text: str) -> GaussianRational:
         kind, val, _ = cur.peek()
     if kind is not None:
         cur.error(f"unexpected token {val!r}")
-    return total
+    # a sum narrows to a real; matrix entries stay GaussianRational
+    return as_gaussian(total)
 
 
 def parse_matrix_tuple(text: str):

@@ -1,7 +1,17 @@
-"""Exact Gaussian-rational scalars: a + b*i with arbitrary-precision rational a, b.
+"""Exact scalars: integers, rationals and Gaussian rationals a + b*i.
 
-All coefficient arithmetic in this package runs over this field so that
-equality (and hence zero-testing of residuals) is decidable.
+Every polynomial coefficient is stored in its narrowest exact type: an `int`
+when the value is an integer, a `Fraction` when it is real but not an
+integer, and a `GaussianRational` only when its imaginary part is nonzero.
+`exact` is the one function that narrows a value on its way into a
+polynomial, and `GaussianRational` arithmetic narrows its own results (i*i is
+the int -1), so the polynomial loops run on native `int` and `Fraction`
+arithmetic whenever the coefficients are real.  All three types compare equal
+(and hash equal) when their values are equal, so equality -- and hence the
+zero test of residuals -- is decidable and independent of the stored type.
+
+The three types share the read-only `real` and `imag` attributes of Python's
+numbers, which is how values are rendered without looking at their type.
 """
 
 from __future__ import annotations
@@ -9,14 +19,45 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _rational(q):
+    """An int or a Fraction as an int when it is integral, else unchanged."""
+    return int(q) if q.denominator == 1 else q
+
+
+def _gaussian(re: Fraction, im: Fraction):
+    """re + im*i from Fraction parts, narrowed to a real when im is 0."""
+    if not im:
+        return _rational(re)
+    g = object.__new__(GaussianRational)
+    g.re = re
+    g.im = im
+    return g
+
+
 class GaussianRational:
-    """Immutable exact complex scalar with Fraction real and imaginary parts."""
+    """Immutable exact complex scalar with Fraction real and imaginary parts.
+
+    Constructing one directly keeps the type whatever the parts are (the
+    matrices of `freeinv.linalg` hold such values); every arithmetic result
+    is narrowed to an int or a Fraction when its imaginary part is 0.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
         self.re = re if isinstance(re, Fraction) else Fraction(re)
         self.im = im if isinstance(im, Fraction) else Fraction(im)
+
+    @property
+    def real(self):
+        return self.re
+
+    @property
+    def imag(self):
+        return self.im
+
+    def __complex__(self):
+        return complex(self.re, self.im)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -28,16 +69,17 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal values hash equal across int, Fraction and GaussianRational
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.re, -self.im)
 
     def __add__(self, other):
         other = as_gaussian(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return _gaussian(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -45,21 +87,22 @@ class GaussianRational:
         other = as_gaussian(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return _gaussian(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = as_gaussian(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(other.re - self.re, other.im - self.im)
+        return _gaussian(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
         other = as_gaussian(other)
         if other is None:
             return NotImplemented
         if not self.im and not other.im:
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(
+            # real operands, as in the entries of `linalg.mat` matrices
+            return _rational(self.re * other.re)
+        return _gaussian(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -73,9 +116,9 @@ class GaussianRational:
         if not other:
             raise ZeroDivisionError("division by zero Gaussian rational")
         if not other.im:
-            return GaussianRational(self.re / other.re, self.im / other.re)
+            return _gaussian(self.re / other.re, self.im / other.re)
         d = other.re * other.re + other.im * other.im
-        return GaussianRational(
+        return _gaussian(
             (self.re * other.re + self.im * other.im) / d,
             (self.im * other.re - self.re * other.im) / d,
         )
@@ -87,7 +130,7 @@ class GaussianRational:
         return other / self
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self.re, -self.im)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -96,9 +139,14 @@ class GaussianRational:
         return format_scalar(self)
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I_UNIT = GaussianRational(0, 1)
+def exact(value):
+    """`value` in its narrowest exact type -- int, else Fraction, else
+    GaussianRational -- or None when it is not an exact scalar."""
+    if isinstance(value, GaussianRational):
+        return value if value.im else _rational(value.re)
+    if isinstance(value, (int, Fraction)):
+        return _rational(value)
+    return None
 
 
 def as_gaussian(value):
@@ -110,26 +158,24 @@ def as_gaussian(value):
     return None
 
 
-def gaussian(re, im=0) -> GaussianRational:
-    return GaussianRational(re, im)
-
-
-def format_scalar(c: GaussianRational) -> str:
-    """Render without surrounding parentheses: '3', '-1/2', '2i', 'i', '1+2i'."""
-    if not c.im:
-        return str(c.re)
-    if c.im == 1:
+def format_scalar(c) -> str:
+    """Render an exact scalar without surrounding parentheses: '3', '-1/2',
+    '2i', 'i', '1+2i'."""
+    re, im = c.real, c.imag
+    if not im:
+        return str(re)
+    if im == 1:
         im_part = "i"
-    elif c.im == -1:
+    elif im == -1:
         im_part = "-i"
     else:
-        im_part = f"{c.im}i"
-    if not c.re:
+        im_part = f"{im}i"
+    if not re:
         return im_part
-    sign = "+" if c.im > 0 else ""
-    return f"{c.re}{sign}{im_part}"
+    sign = "+" if im > 0 else ""
+    return f"{re}{sign}{im_part}"
 
 
-def scalar_needs_parens(c: GaussianRational) -> bool:
+def scalar_needs_parens(c) -> bool:
     """True when the rendered form contains an interior +/- ('1+2i')."""
-    return bool(c.re) and bool(c.im)
+    return bool(c.real) and bool(c.imag)

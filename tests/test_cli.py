@@ -201,3 +201,61 @@ def test_internal_value_error_is_not_an_input_error(monkeypatch):
     monkeypatch.setattr(inverter, "invert", broken)
     with pytest.raises(ValueError, match="internal defect"):
         main(["invert", "-g", "2", "x1", "x2"])
+
+
+def test_unreadable_or_unwritable_file_is_an_input_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    cases = [
+        ["eval", "-g", "1", "x1", "--at-file", str(missing)],
+        # a directory cannot be opened as the output file
+        ["invert", "-g", "2", "x1", "x2 - x1^2", "--out", str(tmp_path)],
+        ["invert", "-g", "2", "x1", "x2 - x1^2", "--out", str(missing / "out.json")],
+    ]
+    for argv in cases:
+        assert exit_code(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+def test_internal_error_exits_4_with_traceback(monkeypatch, capsys):
+    from freeinv import inverter
+    from freeinv.cli import run
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal defect")
+
+    monkeypatch.setattr(inverter, "invert", broken)
+    assert run(["invert", "-g", "2", "x1", "x2"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: internal defect" in err
+    # input errors and verdicts keep their own codes through the same entry point
+    assert run(["invert", "-g", "2", "x1"]) == 2
+    assert run(["verify", "-g", "1", "--p", "x1", "--q", "2*x1"]) == 1
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+    def run_module(code):
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=60)
+
+    missing = run_module(
+        "import runpy, sys; sys.argv = ['freeinv', 'eval', '-g', '1', 'x1', '--at-file', 'missing'];"
+        " runpy.run_module('freeinv', run_name='__main__')"
+    )
+    assert missing.returncode == 2 and missing.stderr.startswith("error: ")
+    defect = run_module(
+        "import runpy, sys; from freeinv import inverter\n"
+        "def broken(*a, **k): raise RuntimeError('internal defect')\n"
+        "inverter.invert = broken; sys.argv = ['freeinv', 'invert', '-g', '1', 'x1']\n"
+        "runpy.run_module('freeinv', run_name='__main__')"
+    )
+    assert defect.returncode == 4
+    assert "Traceback" in defect.stderr and "RuntimeError: internal defect" in defect.stderr
