@@ -34,6 +34,9 @@ POS_INF = float("inf")
 
 EMPTY_WORD = ()
 
+# the kind of a letter; `kind in map(letter_kind, w)` scans a word at C speed
+letter_kind = operator.itemgetter(0)
+
 
 class UnboundLetter(KeyError):
     """A substitution image is missing for a letter that occurs in the input."""
@@ -281,7 +284,7 @@ class FreePoly(Poly):
         """Min total length among words containing a letter of `kind`; +inf if none."""
         best = POS_INF
         for w in self._terms:
-            if len(w) < best and any(k == kind for (k, _) in w):
+            if len(w) < best and kind in map(letter_kind, w):
                 best = len(w)
         return best
 
@@ -320,43 +323,62 @@ def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=Non
     Returns (result, dropped) where dropped flags that some word of the true
     image exceeded `trunc` and was pruned.  Pruning partial products is sound
     because word lengths never shrink under concatenation.
+
+    Cost is per bound letter (a letter with an image), not per letter: under
+    `default_identity` a word's image is the ordered product of its unbound
+    runs, each appended as one slice, and the images of its bound letters; a
+    word with no bound letter is its own image and is passed through whole.
+    A run is checked against `trunc` before the next image is expanded, so
+    `dropped` is set even when that image is zero.
     """
     out = {}
     dropped = False
+    unbound_word = images.keys().isdisjoint
     for w, coeff in f._terms.items():
         acc = {EMPTY_WORD: coeff}
-        for let in w:
+        start = 0
+        # a word with no bound letter is one unbound run: skip the letter loop
+        scan = EMPTY_WORD if default_identity and unbound_word(w) else w
+        for pos, let in enumerate(scan):
             img = images.get(let)
-            nxt = {}
             if img is None:
                 if not default_identity:
                     raise UnboundLetter(f"no substitution image for letter {_letter_str(let)}")
-                for aw, ac in acc.items():
-                    nw = aw + (let,)
+                continue
+            run = w[start:pos]
+            start = pos + 1
+            nxt = {}
+            for aw, ac in acc.items():
+                if run:
+                    aw += run
+                    if trunc is not None and len(aw) > trunc:
+                        dropped = True
+                        continue
+                for iw, ic in img._terms.items():
+                    nw = aw + iw
                     if trunc is not None and len(nw) > trunc:
                         dropped = True
                         continue
-                    nxt[nw] = ac
-            else:
-                for aw, ac in acc.items():
-                    for iw, ic in img._terms.items():
-                        nw = aw + iw
-                        if trunc is not None and len(nw) > trunc:
-                            dropped = True
-                            continue
-                        c = ac * ic
-                        prev = nxt.get(nw)
-                        if prev is None:
-                            nxt[nw] = c
+                    c = ac * ic
+                    prev = nxt.get(nw)
+                    if prev is None:
+                        nxt[nw] = c
+                    else:
+                        s = prev + c
+                        if s:
+                            nxt[nw] = s
                         else:
-                            s = prev + c
-                            if s:
-                                nxt[nw] = s
-                            else:
-                                del nxt[nw]
+                            del nxt[nw]
             acc = nxt
             if not acc:
                 break
+        else:
+            run = w[start:]
+            if run:
+                nxt = {aw + run: ac for aw, ac in acc.items()
+                       if trunc is None or len(aw) + len(run) <= trunc}
+                dropped = dropped or len(nxt) < len(acc)
+                acc = nxt
         for aw, ac in acc.items():
             prev = out.get(aw)
             if prev is None:

@@ -5,6 +5,10 @@ every word containing a z-letter has length at least two.  Such a system has a
 unique formal fixed point a(x)[s(x)] = s(x), approached by composing the
 system into its own z-slots; truncation at a working degree W is sound because
 constant-term-free substitution never shortens words.
+
+A composition step costs per bound letter, not per letter: only z-letters have
+images, so `substitute_tracked` copies each run of x-letters as one slice and
+passes a z-free word through whole.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from . import linalg
 from .freealg import (
     POS_INF,
     FreePoly,
+    letter_kind,
     substitute_tracked,
 )
 
@@ -159,7 +164,7 @@ def solve_truncated(system, trunc: int):
     # all words of length <= trunc have stabilized; strip any z-tail
     out = []
     for comp in current:
-        out.append(FreePoly({w: c for w, c in comp.terms() if all(k != "z" for (k, _) in w)}))
+        out.append(FreePoly({w: c for w, c in comp.terms() if "z" not in map(letter_kind, w)}))
     return tuple(out)
 
 

@@ -100,6 +100,18 @@ def test_invert_classic_rigorous():
     assert out.iterations <= out.bound_B
 
 
+@pytest.mark.parametrize(
+    "a, b, bound, cap",
+    [(1, 2, 217, 869), (2, 1, 217, 869), (2, 2, 289, 1446)],
+)
+def test_invert_rigorous_family(a, b, bound, cap):
+    # (x1, x2 - x1^a x2 x1^b): the classic map with longer x1 runs around x2
+    out = invert((x1, x2 - x1**a * x2 * x1**b))
+    assert out.outcome == OUTCOME_NOT_INJECTIVE
+    assert out.reason == REASON_DEGREE_EXCEEDED
+    assert (out.iterations, out.bound_B, out.cap_used) == (74, bound, cap)
+
+
 def test_invert_classic_clipped_is_indeterminate():
     out = invert(P_CLASSIC, cap=20)
     assert out.outcome == OUTCOME_INDETERMINATE
