@@ -7,11 +7,20 @@ x_{s+1}, with that first letter removed.
 `Matrix` and `poly_matrix_inverse` are ring-generic: `PolyMatrix` (free
 polynomials) and the bipartite matrices of `freeinv.bipartite` only name
 their entry ring, and both inverses run through the one series engine.
+
+That engine computes the layers of the formal inverse with sparse rows, so
+its cost is proportional to the nonzero entries and terms it produces, and
+it merges each layer into the total once.  A nonzero layer above the cap
+certifies that no inverse of degree <= cap exists: the formal inverse of a
+matrix with invertible constant part is unique and two-sided, so any
+polynomial inverse would be it.  Every positive answer is still checked by
+exact two-sided multiplication.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import deque
 from dataclasses import dataclass
 
 from . import linalg
@@ -102,14 +111,6 @@ class Matrix:
             [[sum((a * b for a, b in zip(row, col)), zero) for col in cols] for row in self.entries]
         )
 
-    def scaled(self, scalars):
-        """The product S * self for a matrix S of exact scalars."""
-        zero = self.ring.zero()
-        cols = tuple(zip(*self.entries))
-        return type(self)(
-            [[sum((e * c for e, c in zip(col, row) if c), zero) for col in cols] for row in scalars]
-        )
-
     def constant_part(self):
         return tuple(tuple(e.constant_term() for e in row) for row in self.entries)
 
@@ -118,9 +119,6 @@ class Matrix:
 
     def map_entries(self, fn):
         return type(self)([[fn(e) for e in row] for row in self.entries])
-
-    def term_count(self):
-        return sum(len(e) for row in self.entries for e in row)
 
     def is_zero(self):
         return all(not e for row in self.entries for e in row)
@@ -177,11 +175,27 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
     """Two-sided inverse of a square polynomial matrix over either ring, or
     NotPolyInvertible.
 
-    Accumulates the geometric-series inverse degree layer by degree layer up to
-    `degree_cap` (layers are graded by the ring's key degree), then verifies
-    M*R = I = R*M exactly, so a returned matrix is unconditionally correct.  At
-    the rigorous cap a negative answer proves no polynomial inverse exists; at
-    a smaller cap it means none up to the cap.
+    Write M = M0 - N with M0 the constant part and N without constant term.
+    When M0 is invertible, M has a unique formal-series inverse R, and it is
+    two-sided.  Its degree-m layer (graded by the ring's key degree) obeys
+    R_0 = M0^-1 and R_m = M0^-1 (N_1 R_{m-1} + ... + N_e R_{m-e}), with
+    e = deg N.  Layers are computed up to `degree_cap` + e:
+
+    - e consecutive zero layers make every later layer zero, so R is the
+      polynomial summed so far.  It is returned only after the exact check
+      M*R = I = R*M.
+    - A nonzero layer of degree m > `degree_cap` is the degree-m part of the
+      unique inverse, so no polynomial inverse of degree <= `degree_cap`
+      exists.  At the rigorous cap this proves none exists; at a smaller cap
+      it only says none up to the cap.
+    - `max_terms` bounds the terms of the layers of degree <= `degree_cap`.
+
+    Cost is per nonzero entry.  A layer is a list of rows {column: nonzero
+    entry}, N is kept as (row, column, entry) triples of its nonzero
+    homogeneous parts, M0^-1 is applied through its nonzero scalars, and only
+    the last e layers are kept.  Layers have distinct degrees, so their keys
+    are disjoint: each entry is merged into the total's term dicts once, and
+    the total's polynomials are built once at the end.
     """
     if M.rows != M.cols:
         raise ValueError("only square matrices can be inverted")
@@ -193,43 +207,72 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
     m0_inv = linalg.inverse(m0)
     if m0_inv is None:
         return NotPolyInvertible(REASON_SINGULAR_CONSTANT, degree_cap)
-    # N = M(0) - M has no constant term; R solves M0*R = I + N*R layerwise.
     N = cls.from_scalars(m0) - M
     deg_n = N.degree()
     if deg_n == NEG_INF:
         return cls.from_scalars(m0_inv)
     deg_n = int(deg_n)
-    n_layers = {
-        d: N.map_entries(lambda e, d=d: e.homogeneous_part(d)) for d in range(1, deg_n + 1)
-    }
-    n_layers = {d: L for d, L in n_layers.items() if not L.is_zero()}
-    layers = [cls.from_scalars(m0_inv)]
-    total = layers[0]
+    n_parts = []
+    for d in range(1, deg_n + 1):
+        triples = [(i, k, part) for i, row in enumerate(N.entries) for k, e in enumerate(row)
+                   if (part := e.homogeneous_part(d))]
+        if triples:
+            n_parts.append((d, triples))
+    inv_rows = [[(l, c) for l, c in enumerate(row) if c] for row in m0_inv]
+    layer = [{j: cls.ring.scalar(c) for j, c in enumerate(row) if c} for row in m0_inv]
+    # window[-d] is the layer d degrees below the next one; the shared empty
+    # rows stand for the zero layers below degree 0 and are never written
+    window = deque([[{}] * n] * (deg_n - 1) + [layer], maxlen=deg_n)
+    total = [[{} for _ in range(n)] for _ in range(n)]
+    terms = _merge(total, layer)
     zero_run = 0
-    terms = total.term_count()
-    for m in range(1, degree_cap + 1):
-        acc = None
-        for d, Nd in n_layers.items():
-            if d > m:
-                continue
-            part = Nd * layers[m - d]
-            acc = part if acc is None else acc + part
-        layer = cls.from_scalars([[0] * n] * n) if acc is None else acc.scaled(m0_inv)
-        layers.append(layer)
-        if layer.is_zero():
+    for m in range(1, degree_cap + deg_n + 1):
+        acc = [{} for _ in range(n)]
+        for d, triples in n_parts:
+            below = window[-d]
+            for i, k, e in triples:
+                for j, r in below[k].items():
+                    _accumulate(acc[i], j, e * r)
+        layer = []
+        for inv_row in inv_rows:
+            out = {}
+            for l, c in inv_row:
+                for j, a in acc[l].items():
+                    _accumulate(out, j, a if c == 1 else a * c)
+            layer.append({j: e for j, e in out.items() if e})
+        window.append(layer)
+        if not any(layer):
             zero_run += 1
-            if zero_run >= deg_n:
+            if zero_run == deg_n:
                 break
-        else:
-            zero_run = 0
-            total = total + layer
-            terms += layer.term_count()
-            if max_terms is not None and terms > max_terms:
-                return NotPolyInvertible(REASON_TERM_BUDGET, degree_cap)
+            continue
+        if m > degree_cap:
+            return NotPolyInvertible(REASON_NO_INVERSE_UP_TO_CAP, degree_cap)
+        zero_run = 0
+        terms += _merge(total, layer)
+        if max_terms is not None and terms > max_terms:
+            return NotPolyInvertible(REASON_TERM_BUDGET, degree_cap)
+    R = cls([[cls.ring(t) for t in row] for row in total])
     ident = cls.identity(n)
-    if M * total == ident and total * M == ident:
-        return total
+    if M * R == ident and R * M == ident:
+        return R
     return NotPolyInvertible(REASON_NO_INVERSE_UP_TO_CAP, degree_cap)
+
+
+def _accumulate(row, j, p):
+    prev = row.get(j)
+    row[j] = p if prev is None else prev + p
+
+
+def _merge(total, layer):
+    """Add a layer's entries to the total's term dicts; returns their term count."""
+    count = 0
+    for total_row, row in zip(total, layer):
+        for j, e in row.items():
+            # a dict-to-dict update reuses the stored key hashes
+            total_row[j].update(e._terms)
+            count += len(e)
+    return count
 
 
 def auxiliary_inverse(p, j_inv: PolyMatrix):

@@ -160,6 +160,15 @@ def test_injectivity_returns_verified_inverse():
     assert hj * res.inverse == ident and res.inverse * hj == ident
 
 
+@pytest.mark.parametrize(
+    "a, b, cap", [(1, 1, 144), (1, 2, 216), (2, 1, 216), (2, 2, 288)]
+)
+def test_injectivity_rigorous_family(a, b, cap):
+    # (x1, x2 - x1^a x2 x1^b) is not injective; the rigorous cap certifies it
+    res = injectivity_test((x1, x2 - x1**a * x2 * x1**b))
+    assert (res.status, res.certified, res.cap_used) == ("not-injective", True, cap)
+
+
 def test_injectivity_clipped_is_uncertified():
     res = injectivity_test(P_CLASSIC, cap=5)
     assert res.status == "indeterminate" and not res.certified
