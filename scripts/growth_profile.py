@@ -20,9 +20,9 @@ from freeinv import (  # noqa: E402
     FreePoly,
     auxiliary_inverse,
     inverse_degree_bound,
+    iterates,
 )
 from freeinv.inverter import jacobian_gate  # noqa: E402
-from freeinv.sysolve import _split, _step  # noqa: E402
 
 x1 = FreePoly.letter("x", 1)
 x2 = FreePoly.letter("x", 2)
@@ -36,18 +36,16 @@ def main():
     w = bound * 2 + 1
     print(f"degree bound B = {bound}; decision loop k = {bound + 1}; working degree {w}")
     print(f"{'k':>3} {'terms':>10} {'head deg':>9} {'z-floor':>8} {'step time':>10}")
-    current = tuple(c.truncate(w) for c in system.components)
-    k = 1
-    while True:
-        split = _split(current, k, True)
-        total = sum(len(c) for c in current)
-        t = time.time()
-        current, _ = _step(system.components, current, w)
+    t = time.time()
+    # the time on row k is the step that built iterate k (row 1: the truncation)
+    for split in iterates(system, w):
         dt = time.time() - t
-        print(f"{k:>3} {total:>10} {int(split.head_degree()):>9} {split.floor!s:>8} {dt:>9.2f}s")
-        k += 1
+        total = sum(map(len, split.head + split.tail))
+        print(f"{split.k:>3} {total:>10} {int(split.head_degree()):>9} {split.floor!s:>8} {dt:>9.2f}s")
+        k = split.k + 1
         if total > 200_000 or k > bound:
             break
+        t = time.time()
     if k <= bound:
         doubles = bound + 1 - k
         print(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .deriv import free_derivative
 from .freealg import FreePoly, Poly, check_alphabet, swap_kinds
 from .jacobian import REASON_TERM_BUDGET, Matrix, poly_matrix_inverse
-from .inverter import rigorous_cap
+from .inverter import check_limits, rigorous_cap
 
 
 class NotHyporealization(ValueError):
@@ -138,6 +138,7 @@ def injectivity_test(p, cap=None, max_terms=None) -> InjectivityOutcome:
     default rigorous cap a negative answer is a certificate; otherwise it is
     reported as certified=False.
     """
+    check_limits(cap, max_terms)
     hj = hypo_jacobian(p)
     rigorous = rigorous_cap(hj)
     used = rigorous if cap is None else min(cap, rigorous)

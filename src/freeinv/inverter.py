@@ -9,11 +9,19 @@ certifies that the head *is* the full inverse, while a head degree above the
 bound B = 3^g (g!)^3 (deg p - 1) + 1 certifies that no polynomial inverse
 exists.  Every positive answer is re-verified by exact two-sided composition
 before being returned.
+
+The working degree w escalates geometrically up to the requested cap.  A
+decision is final when no word has been dropped yet (the iterates at w are
+then those at every larger w) or when w is the cap; only a final decision
+may end the search without an inverse, and it reports the cap.  Positives
+report the w of their own pass, and a term-budget exit ends the search at
+its own w.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .freealg import (
     NEG_INF,
@@ -33,7 +41,7 @@ from .jacobian import (
     jacobian_extract,
     poly_matrix_inverse,
 )
-from .sysolve import _split, _step
+from .sysolve import iterates
 
 OUTCOME_INVERSE = "inverse"
 OUTCOME_NOT_INJECTIVE = "not-injective"
@@ -136,6 +144,13 @@ class InversionOutcome:
         return data
 
 
+def check_limits(cap, max_terms):
+    """`cap` and `max_terms` must each be None or an int >= 0."""
+    for name, value in (("cap", cap), ("max_terms", max_terms)):
+        if not (value is None or type(value) is int and value >= 0):
+            raise ValueError(f"{name} must be None or an int >= 0, got {value!r}")
+
+
 def verify_inverse(p, q) -> bool:
     """True iff p(q(x)) = x = q(p(x)) as exact polynomial identities."""
     if len(p) != len(q):
@@ -164,6 +179,7 @@ def invert(p, cap: int | None = None, max_terms: int | None = None) -> Inversion
     negatives to indeterminate; positive outcomes are sound under every cap
     because they are re-verified by exact composition.
     """
+    check_limits(cap, max_terms)
     p = tuple(p)
     g = len(p)
     if g == 0:
@@ -198,43 +214,34 @@ def invert(p, cap: int | None = None, max_terms: int | None = None) -> Inversion
     bound = inverse_degree_bound(g, deg_p)
     w_rig = bound * deg_p + 1
     w_outer = w_rig if cap is None else min(cap, w_rig)
-    base = system.components
+    rigorous = w_outer == w_rig
+    outcome = partial(InversionOutcome, bound_B=bound)
+    capped = partial(outcome, OUTCOME_INDETERMINATE, reason=REASON_CAP, cap_used=w_outer)
 
     def run(w):
-        """One pass of the iteration loop at working degree w."""
-        clipped = w < w_rig
-        current = tuple(c.truncate(w) for c in base)
-        exact = all(len(cur) == len(orig) for cur, orig in zip(current, base))
-        k = 1
+        """One pass of the iteration at working degree w; None asks for a larger w."""
         prev_head_deg = None
         last_attempt = None
-        while True:
-            if max_terms is not None and sum(len(c) for c in current) > max_terms:
-                return InversionOutcome(
-                    OUTCOME_INDETERMINATE, iterations=k, reason=REASON_BUDGET,
-                    bound_B=bound, cap_used=w,
+        for split in iterates(system, w):
+            k = split.k
+            # an exact split is the untruncated iterate, so every decision up
+            # to here is the one the pass at w_outer would make
+            final = split.exact or w == w_outer
+            if max_terms is not None and sum(map(len, split.head + split.tail)) > max_terms:
+                return outcome(
+                    OUTCOME_INDETERMINATE, iterations=k, reason=REASON_BUDGET, cap_used=w
                 )
-            split = _split(current, k, exact)
             head_deg = split.head_degree()
             head_deg_int = 0 if head_deg == NEG_INF else int(head_deg)
             if head_deg_int > bound or k > bound:
-                if clipped:
-                    return InversionOutcome(
-                        OUTCOME_INDETERMINATE, iterations=k, reason=REASON_CAP,
-                        bound_B=bound, cap_used=w,
-                    )
+                if not final:
+                    return None
+                if not rigorous:
+                    return capped(iterations=k)
                 reason = (
-                    REASON_DEGREE_EXCEEDED
-                    if head_deg_int > bound
-                    else REASON_ITERATION_EXCEEDED
+                    REASON_DEGREE_EXCEEDED if head_deg_int > bound else REASON_ITERATION_EXCEEDED
                 )
-                return InversionOutcome(
-                    OUTCOME_NOT_INJECTIVE,
-                    iterations=k,
-                    reason=reason,
-                    bound_B=bound,
-                    cap_used=w,
-                )
+                return outcome(OUTCOME_NOT_INJECTIVE, iterations=k, reason=reason, cap_used=w_outer)
             # the degree-gap exit: the head is provably the full inverse here
             if split.floor is None:
                 gap = split.exact or head_deg_int * deg_p <= w
@@ -247,10 +254,8 @@ def invert(p, cap: int | None = None, max_terms: int | None = None) -> Inversion
                 last_attempt = split.head
                 q = _restore_constant(split.head, constants)
                 if verify_inverse(p, q):
-                    return InversionOutcome(
-                        OUTCOME_INVERSE, q=q, iterations=k, bound_B=bound, cap_used=w
-                    )
-            if gap and not clipped:
+                    return outcome(OUTCOME_INVERSE, q=q, iterations=k, cap_used=w)
+            if gap and final and rigorous:
                 raise RuntimeError(
                     "internal error: a degree-gap candidate failed exact verification "
                     "at the rigorous working degree"
@@ -258,23 +263,13 @@ def invert(p, cap: int | None = None, max_terms: int | None = None) -> Inversion
             if split.floor is None:
                 # no z-words below the working degree: the iteration is now
                 # stationary, so nothing further can be learned at this cap
-                return InversionOutcome(
-                    OUTCOME_INDETERMINATE, iterations=k, reason=REASON_CAP,
-                    bound_B=bound, cap_used=w,
-                )
+                return capped(iterations=k) if final else None
             prev_head_deg = head_deg_int
-            current, dropped = _step(base, current, w)
-            exact = exact and not dropped
-            k += 1
 
     # escalate the working degree: positive answers are cap-independent (they
-    # are verified by exact composition), so cheap passes go first; only the
-    # final pass at the requested cap may certify a negative
-    w_try = min(8, w_outer)
-    while True:
-        outcome = run(w_try)
-        if outcome.is_inverse or w_try == w_outer:
-            return outcome
-        if outcome.reason == REASON_BUDGET:
-            return outcome
-        w_try = min(2 * w_try, w_outer)
+    # are verified by exact composition), so cheap passes go first; a budget
+    # exit ends the search at its own w, and any other answer needs a final pass
+    w = min(8, w_outer)
+    while (answer := run(w)) is None:
+        w = min(2 * w, w_outer)
+    return answer

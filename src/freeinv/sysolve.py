@@ -6,6 +6,10 @@ unique formal fixed point a(x)[s(x)] = s(x), approached by composing the
 system into its own z-slots; truncation at a working degree W is sound because
 constant-term-free substitution never shortens words.
 
+`iterates` is the one fixed-point loop: it yields the head/tail split of every
+truncated self-composition in turn, and `iterate_split`, `solve_truncated`
+(hence `implicit_solve`) and the inversion driver all consume it.
+
 A composition step costs per bound letter, not per letter: only z-letters have
 images, so `substitute_tracked` copies each run of x-letters as one slice and
 passes a z-free word through whole.
@@ -14,12 +18,12 @@ passes a z-free word through whole.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 
 from . import linalg
 from .freealg import (
     POS_INF,
     FreePoly,
-    letter_kind,
     substitute_tracked,
 )
 
@@ -63,12 +67,13 @@ def _as_components(system):
 
 
 def check_proper(system) -> bool:
-    """True iff constant-term-free and every z-word has length >= 2."""
+    """True iff constant-term-free, every z-word has length >= 2 and every
+    z-letter is one of z1..zh."""
     comps = _as_components(system)
     for c in comps:
-        if c.constant_term():
+        if c.constant_term() or c.dz_degree("z") <= 1:
             return False
-        if c.dz_degree("z") <= 1:
+        if any(kind == "z" and i > len(comps) for kind, i in c.letters()):
             return False
     return True
 
@@ -98,11 +103,10 @@ def _require_proper(system):
         raise ImproperSystem("system must be constant-term-free with z-degree floor > 1")
 
 
-def _step(base_components, current, trunc):
-    """One composition step: substitute the base system into the z-slots of the
-    current iterate (the cheap orientation; both give the same composite by the
-    semigroup law for self-composition)."""
-    images = {("z", j + 1): comp for j, comp in enumerate(base_components)}
+def _step(images, current, trunc):
+    """One composition step: substitute the base system (as z-slot `images`)
+    into the z-slots of the current iterate (the cheap orientation; both give
+    the same composite by the semigroup law for self-composition)."""
     out = []
     dropped = False
     for comp in current:
@@ -112,15 +116,12 @@ def _step(base_components, current, trunc):
     return tuple(out), dropped
 
 
-def _split(components, k, exact):
-    floor = POS_INF
-    for comp in components:
-        d = comp.dz_degree("z")
-        if d < floor:
-            floor = d
-    if floor == POS_INF:
+def _split(components, k, exact, z_letters):
+    # the z-degree floor: one C-speed membership test per word, not per letter
+    z_lengths = (len(w) for comp in components for w in comp._terms if not z_letters.isdisjoint(w))
+    floor = min(z_lengths, default=None)
+    if floor is None:
         return IterateSplit(k, tuple(components), tuple(FreePoly.zero() for _ in components), None, exact)
-    floor = int(floor)
     head = []
     tail = []
     for comp in components:
@@ -133,39 +134,38 @@ def _split(components, k, exact):
     return IterateSplit(k, tuple(head), tuple(tail), floor, exact)
 
 
+def iterates(system, trunc: int):
+    """Yield the split of the k-th self-composition, truncated at degree
+    `trunc`, for k = 1, 2, ...; `exact` stays True while no word was dropped."""
+    _require_proper(system)
+    comps = _as_components(system)
+    images = {("z", j + 1): comp for j, comp in enumerate(comps)}
+    current = tuple(c.truncate(trunc) for c in comps)
+    exact = all(len(cur) == len(orig) for cur, orig in zip(current, comps))
+    for k in count(1):
+        yield _split(current, k, exact, images.keys())
+        current, dropped = _step(images, current, trunc)
+        exact = exact and not dropped
+
+
 def iterate_split(system, k: int, trunc: int) -> IterateSplit:
     """Compute the k-th self-composition truncated at degree `trunc` and split it."""
-    _require_proper(system)
     if k < 1:
         raise ValueError("k must be >= 1")
     if trunc < 1:
         raise ValueError("working truncation degree must be >= 1")
-    comps = _as_components(system)
-    current = tuple(c.truncate(trunc) for c in comps)
-    exact = all(len(cur) == len(orig) for cur, orig in zip(current, comps))
-    for _ in range(k - 1):
-        current, dropped = _step(comps, current, trunc)
-        exact = exact and not dropped
-    return _split(current, k, exact)
+    return next(islice(iterates(system, trunc), k - 1, None))
 
 
 def solve_truncated(system, trunc: int):
-    """Degree-<=trunc part of the unique fixed point of a proper system."""
-    _require_proper(system)
+    """Degree-<=trunc part of the unique fixed point of a proper system.
+
+    The floor grows by at least one per step, so within `trunc` steps no
+    z-word survives truncation and the head is the whole iterate.
+    """
     if trunc < 1:
         raise ValueError("working truncation degree must be >= 1")
-    comps = _as_components(system)
-    current = tuple(c.truncate(trunc) for c in comps)
-    for _ in range(1, trunc + 1):
-        floor = min((c.dz_degree("z") for c in current), default=POS_INF)
-        if floor > trunc:
-            break
-        current, _ = _step(comps, current, trunc)
-    # all words of length <= trunc have stabilized; strip any z-tail
-    out = []
-    for comp in current:
-        out.append(FreePoly({w: c for w, c in comp.terms() if "z" not in map(letter_kind, w)}))
-    return tuple(out)
+    return next(split.head for split in iterates(system, trunc) if split.floor is None)
 
 
 def implicit_solve(f, trunc: int):
@@ -197,7 +197,4 @@ def implicit_solve(f, trunc: int):
     hatted = tuple(
         FreePoly.letter("z", i + 1) - normalized[i] for i in range(h)
     )
-    system = ProperAlgebraicSystem(hatted)
-    if not check_proper(system):
-        raise ImproperSystem("normalized system is not proper")
-    return solve_truncated(system, trunc)
+    return solve_truncated(ProperAlgebraicSystem(hatted), trunc)

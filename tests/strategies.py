@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from freeinv import FreePoly, GaussianRational
+from freeinv import FreePoly, GaussianRational, ProperAlgebraicSystem
 
 coefficients = st.builds(
     GaussianRational,
@@ -43,3 +43,13 @@ def constant_free_maps(g=2, max_len=2, max_terms=2):
     return st.tuples(
         *[constant_free_polys(max_index=g, max_len=max_len, max_terms=max_terms) for _ in range(g)]
     )
+
+
+def proper_systems(h=2, max_len=3, max_terms=3):
+    """Proper systems over x1..xh and z1..zh: no constant term and every word
+    containing a z-letter has length at least two."""
+    word = words("xz", max_index=h, max_len=max_len).filter(
+        lambda w: len(w) >= 2 or (len(w) == 1 and w[0][0] == "x")
+    )
+    comp = st.dictionaries(word, coefficients, max_size=max_terms).map(FreePoly)
+    return st.tuples(*[comp] * h).map(ProperAlgebraicSystem)

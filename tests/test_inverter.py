@@ -7,6 +7,7 @@ import pytest
 from freeinv import (
     ArityMismatch,
     FreePoly,
+    injectivity_test,
     inverse_degree_bound,
     invert,
     iterate_split,
@@ -14,6 +15,7 @@ from freeinv import (
     pmid_f,
     verify_inverse,
 )
+from freeinv import sysolve
 from freeinv.inverter import (
     OUTCOME_INDETERMINATE,
     OUTCOME_NOT_INJECTIVE,
@@ -110,6 +112,49 @@ def test_invert_rigorous_family(a, b, bound, cap):
     assert out.outcome == OUTCOME_NOT_INJECTIVE
     assert out.reason == REASON_DEGREE_EXCEEDED
     assert (out.iterations, out.bound_B, out.cap_used) == (74, bound, cap)
+
+
+@pytest.mark.parametrize(
+    "p, expected, steps",
+    [
+        (P_CLASSIC, ("not-injective", "degree-exceeded", 74, 145, 436), 192),
+        ((x1, x2 - x1 * x2 * x1**2), ("not-injective", "degree-exceeded", 74, 217, 869), 153),
+        ((x1, x2 - x1**2 * x2 * x1), ("not-injective", "degree-exceeded", 74, 217, 869), 153),
+        ((x1, x2 - x1**2 * x2 * x1**2), ("not-injective", "degree-exceeded", 74, 289, 1446), 193),
+    ],
+)
+def test_invert_exact_pass_is_final(monkeypatch, p, expected, steps):
+    # these iterations never drop a word, so the first pass that reaches the
+    # decision is final: no pass at a larger working degree repeats its steps
+    calls = []
+    step = sysolve._step
+    monkeypatch.setattr(sysolve, "_step", lambda *args: calls.append(1) or step(*args))
+    out = invert(p)
+    assert (out.outcome, out.reason, out.iterations, out.bound_B, out.cap_used) == expected
+    assert len(calls) == steps
+
+
+@pytest.mark.parametrize("call", [invert, injectivity_test])
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"cap": -1}, "cap"),
+        ({"cap": 2.5}, "cap"),
+        ({"cap": "8"}, "cap"),
+        ({"max_terms": -5}, "max_terms"),
+        ({"max_terms": 100.0}, "max_terms"),
+        ({"cap": 8, "max_terms": True}, "max_terms"),
+    ],
+)
+def test_limits_are_validated_at_entry(call, kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be None or an int >= 0"):
+        call(P_SIMPLE, **kwargs)
+
+
+def test_zero_limits_are_accepted():
+    assert invert(P_SIMPLE, cap=0).cap_used == 0
+    assert invert(P_SIMPLE, max_terms=0).reason == "term-budget-exceeded"
+    assert injectivity_test(P_SIMPLE, cap=0).cap_used == 0
 
 
 def test_invert_classic_clipped_is_indeterminate():

@@ -1,5 +1,7 @@
 """Proper-system iteration, splits, truncated solving, implicit solving."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -13,6 +15,7 @@ from freeinv import (
     check_proper,
     implicit_solve,
     iterate_split,
+    iterates,
     solve_truncated,
     substitute,
 )
@@ -60,6 +63,26 @@ def test_iterate_split_z_free_system():
 def test_iterate_split_requires_proper():
     with pytest.raises(ImproperSystem):
         iterate_split(ProperAlgebraicSystem((z1,)), 1, 5)
+    # z2 has no component to be substituted by, so its words never grow
+    with pytest.raises(ImproperSystem):
+        solve_truncated(ProperAlgebraicSystem((x1 + x1 * z2,)), 5)
+
+
+@given(S.proper_systems(), st.integers(0, 5))
+def test_iterates_floor_and_splits(system, w):
+    for split in islice(iterates(system, w), 4):
+        # dz_degree scans every letter of every word: the reference floor
+        ref = min((h + t).dz_degree("z") for h, t in zip(split.head, split.tail))
+        assert split.floor == (None if ref == float("inf") else ref)
+        if w >= 1:
+            assert iterate_split(system, split.k, w) == split
+
+
+def test_iterates_at_degree_zero():
+    # everything is truncated away: one inexact, z-free, empty split per k
+    splits = list(islice(iterates(CLASSIC_SYSTEM, 0), 3))
+    assert [(s.k, s.floor, s.exact) for s in splits] == [(1, None, False), (2, None, False), (3, None, False)]
+    assert all(not any(s.head) for s in splits)
 
 
 @given(st.integers(1, 4), st.integers(1, 4))
