@@ -121,6 +121,13 @@ def cmd_aux_iterate(args):
         return EXIT_INPUT_ERROR
     j_inv = inverter.jacobian_gate(p, args.max_terms or None)
     if isinstance(j_inv, jacobian.NotPolyInvertible):
+        if j_inv.reason == jacobian.REASON_TERM_BUDGET:
+            print(
+                f"indeterminate: the term budget (--max-terms {args.max_terms}) ran out "
+                "while inverting the Jacobian",
+                file=sys.stderr,
+            )
+            return EXIT_INDETERMINATE
         print(f"error: Jacobian not polynomially invertible ({j_inv.reason})", file=sys.stderr)
         return EXIT_NEGATIVE
     system = jacobian.auxiliary_inverse(p, j_inv)

@@ -317,6 +317,14 @@ class FreePoly(Poly):
         return format_poly(self)
 
 
+def _length_groups(img):
+    """The terms of `img` as (length, [(word, coeff), ...]) pairs, shortest first."""
+    groups = {}
+    for iw, ic in img._terms.items():
+        groups.setdefault(len(iw), []).append((iw, ic))
+    return sorted(groups.items())
+
+
 def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=None):
     """Apply the algebra homomorphism letter -> images[letter].
 
@@ -324,59 +332,97 @@ def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=Non
     image exceeded `trunc` and was pruned.  Pruning partial products is sound
     because word lengths never shrink under concatenation.
 
-    Cost is per bound letter (a letter with an image), not per letter: under
-    `default_identity` a word's image is the ordered product of its unbound
-    runs, each appended as one slice, and the images of its bound letters; a
-    word with no bound letter is its own image and is passed through whole.
-    A run is checked against `trunc` before the next image is expanded, so
+    Cost is per surviving partial product.  Under `default_identity` a word
+    with no bound letter (a letter with an image) is its own image, and all
+    such words are copied in one pass before any expansion; in a word with a
+    bound letter each run of unbound letters is appended as one slice.  Under
+    `trunc` each image's terms are grouped by length once per call, so
+    extending a partial product stops at the first group that cannot fit.
+
+    Lookahead.  When every image is nonzero and constant-free, every letter
+    still to come adds at least one letter, so a partial product of length L
+    at position pos of w is kept only if L + (len(w) - pos - 1) <= trunc.
+    This does not change `dropped`: the free algebra is a domain, so the
+    top-degree parts of a nonzero partial sum and of the later (nonzero)
+    images multiply to a nonzero polynomial, and a letter-by-letter expansion
+    that keeps a doomed product therefore exceeds `trunc` at some later
+    letter whatever cancels on the way.  The lookahead is off (the bound
+    counts no later letter) when some image is zero or has a constant term,
+    or when a word has an unbound letter and no `default_identity`: it must
+    still raise `UnboundLetter` if a partial product reaches that letter.  A
+    run is checked against `trunc` before the next image is expanded, so
     `dropped` is set even when that image is zero.
     """
+    if trunc is None:
+        # nothing is pruned, so each image is one group
+        limit = POS_INF
+        groups = {let: [(0, img._terms.items())] for let, img in images.items()}
+        lookahead = False
+    else:
+        limit = trunc
+        groups = {let: _length_groups(img) for let, img in images.items()}
+        lookahead = all(img and EMPTY_WORD not in img._terms for img in images.values())
     out = {}
     dropped = False
-    unbound_word = images.keys().isdisjoint
-    for w, coeff in f._terms.items():
+    words = f._terms.items()
+    if default_identity:
+        unbound_word = images.keys().isdisjoint
+        bound_words = []
+        for w, coeff in words:
+            if not unbound_word(w):
+                bound_words.append((w, coeff))
+            elif len(w) > limit:
+                dropped = True
+            else:
+                out[w] = coeff
+        words = bound_words
+    for w, coeff in words:
+        n = len(w)
+        look = lookahead and (default_identity or images.keys() >= set(w))
         acc = {EMPTY_WORD: coeff}
         start = 0
-        # a word with no bound letter is one unbound run: skip the letter loop
-        scan = EMPTY_WORD if default_identity and unbound_word(w) else w
-        for pos, let in enumerate(scan):
-            img = images.get(let)
-            if img is None:
+        for pos, let in enumerate(w):
+            grp = groups.get(let)
+            if grp is None:
                 if not default_identity:
                     raise UnboundLetter(f"no substitution image for letter {_letter_str(let)}")
                 continue
+            # the longest partial product that still fits once the letters
+            # after pos are appended
+            lim = limit - (n - 1 - pos) if look else limit
             run = w[start:pos]
             start = pos + 1
             nxt = {}
             for aw, ac in acc.items():
                 if run:
                     aw += run
-                    if trunc is not None and len(aw) > trunc:
+                    if len(aw) > lim:
                         dropped = True
                         continue
-                for iw, ic in img._terms.items():
-                    nw = aw + iw
-                    if trunc is not None and len(nw) > trunc:
+                la = len(aw)
+                for length, terms in grp:
+                    if la + length > lim:
                         dropped = True
-                        continue
-                    c = ac * ic
-                    prev = nxt.get(nw)
-                    if prev is None:
-                        nxt[nw] = c
-                    else:
-                        s = prev + c
-                        if s:
-                            nxt[nw] = s
+                        break
+                    for iw, ic in terms:
+                        nw = aw + iw
+                        c = ac * ic
+                        prev = nxt.get(nw)
+                        if prev is None:
+                            nxt[nw] = c
                         else:
-                            del nxt[nw]
+                            s = prev + c
+                            if s:
+                                nxt[nw] = s
+                            else:
+                                del nxt[nw]
             acc = nxt
             if not acc:
                 break
         else:
             run = w[start:]
             if run:
-                nxt = {aw + run: ac for aw, ac in acc.items()
-                       if trunc is None or len(aw) + len(run) <= trunc}
+                nxt = {aw + run: ac for aw, ac in acc.items() if len(aw) + len(run) <= limit}
                 dropped = dropped or len(nxt) < len(acc)
                 acc = nxt
         for aw, ac in acc.items():

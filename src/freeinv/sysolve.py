@@ -10,9 +10,14 @@ constant-term-free substitution never shortens words.
 truncated self-composition in turn, and `iterate_split`, `solve_truncated`
 (hence `implicit_solve`) and the inversion driver all consume it.
 
-A composition step costs per bound letter, not per letter: only z-letters have
-images, so `substitute_tracked` copies each run of x-letters as one slice and
-passes a z-free word through whole.
+A composition step pays per surviving partial product: only z-letters have
+images, so `substitute_tracked` copies a z-free word through whole and each run
+of x-letters as one slice, and since the images (the components) are
+constant-free it extends a partial product only while it can still fit under
+the working degree once the rest of its word is appended -- every later letter
+adds at least one.  A zero component switches that lookahead off; the system
+x J^-1(z) of the inversion driver never has one, because J^-1(0) is
+invertible.
 """
 
 from __future__ import annotations

@@ -16,4 +16,8 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("exact")
+# a longer search for the property tests, e.g.
+#   HYPOTHESIS_PROFILE=thorough python -m pytest tests/test_substitute.py
+# (tests that pin their own max_examples keep it)
+settings.register_profile("thorough", settings.get_profile("exact"), max_examples=2000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "exact"))

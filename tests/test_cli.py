@@ -192,6 +192,21 @@ def test_numeric_and_shape_input_exit_codes(capsys):
             assert "error" in err and "Traceback" not in err, argv
 
 
+def test_aux_iterate_term_budget_is_indeterminate(capsys):
+    # the budget cuts the Jacobian gate short: no verdict, so exit 3, not 1
+    code, out, err = run_cli(
+        capsys, "aux-iterate", "-g", "2", "-k", "3", "--trunc", "6", "--max-terms", "2",
+        "x1", "x2 - x1*x2*x1",
+    )
+    assert code == 3
+    assert out == ""
+    assert "term budget" in err and "not polynomially invertible" not in err
+    # without the budget the gate passes and the iterate is printed
+    code, out, _ = run_cli(capsys, "aux-iterate", "-g", "2", "-k", "3", "--trunc", "6",
+                           "x1", "x2 - x1*x2*x1")
+    assert code == 0 and out.startswith("k = 3")
+
+
 def test_internal_value_error_is_not_an_input_error(monkeypatch):
     from freeinv import inverter
 

@@ -122,6 +122,60 @@ def test_emptied_accumulator_does_not_raise_on_unbound_letter():
     assert got == expected == "unbound"
 
 
+# images that switch the lookahead on: every image nonzero and constant-free,
+# and either every letter bound or unbound letters passed through as themselves
+lookahead_image = S.constant_free_polys(kinds="xz", max_len=3, max_terms=3).filter(bool)
+
+
+@st.composite
+def lookahead_cases(draw):
+    default_identity = draw(st.booleans())
+    bound = [draw(st.booleans()) or not default_identity for _ in LETTERS]
+    images = {let: draw(lookahead_image) for let, b in zip(LETTERS, bound) if b}
+    return images, default_identity
+
+
+@given(S.polys(kinds="xz", max_len=6, max_terms=4), lookahead_cases(), st.integers(0, 8))
+def test_lookahead_regime_matches_letter_by_letter(f, case, trunc):
+    images, default_identity = case
+    got, expected = run_both(f, images, default_identity, trunc)
+    assert got == expected
+
+
+def test_doomed_partial_product_that_cancels_still_drops():
+    # after z1 -> x1 + x1*x2 and z2 -> x2*x1 - x1 the partial products
+    # x1*(x2*x1) and (x1*x2)*x1 cancel; at trunc 4 with two letters still to
+    # come both are doomed, as is x1*x2*x2*x1, which the letter-by-letter
+    # expansion keeps until the next x1 pushes it past trunc
+    images = {("z", 1): x1 + x1 * x2, ("z", 2): x2 * x1 - x1}
+    f = z1 * FreePoly.letter("z", 2) * x1 * x1
+    got, expected = run_both(f, images, True, 4)
+    assert got == expected == ({(("x", 1),) * 4: -1}, True)
+
+
+def test_unbound_letter_without_default_identity_still_raises():
+    # x2 has length 1 = trunc, so it reaches the unbound x1, which raises
+    # although every completion of x2 is longer than trunc
+    got, expected = run_both(z1 * x1, {("z", 1): x2}, False, 1)
+    assert got == expected == "unbound"
+
+
+def test_zero_or_constant_image_switches_the_lookahead_off():
+    z2 = FreePoly.letter("z", 2)
+    x1x1 = (("x", 1), ("x", 1))
+    # x1*x1 fills trunc with a letter still to come, but that letter's image
+    # is zero: nothing is pruned, the product just vanishes
+    got, expected = run_both(z1 * z2, {("z", 1): x1 * x1, ("z", 2): FreePoly.zero()}, True, 2)
+    assert got == expected == ({}, False)
+    # a constant image adds no letter, so x1*x1 survives
+    got, expected = run_both(z1 * z2, {("z", 1): x1 * x1, ("z", 2): FreePoly.scalar(3)}, True, 2)
+    assert got == expected == ({x1x1: 3}, False)
+    # an image with a constant term as well as longer words
+    images = {("z", 1): x1 * x1, ("z", 2): 1 + x2}
+    got, expected = run_both(z1 * z2, images, True, 2)
+    assert got == expected == ({x1x1: 1}, True)
+
+
 def ref_dz_degree(f, kind):
     lengths = [len(w) for w, _ in f.terms() if any(k == kind for k, _ in w)]
     return min(lengths, default=POS_INF)

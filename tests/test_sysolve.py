@@ -21,6 +21,7 @@ from freeinv import (
 )
 
 import strategies as S
+from test_substitute import ref_substitute
 
 x1 = FreePoly.letter("x", 1)
 x2 = FreePoly.letter("x", 2)
@@ -76,6 +77,39 @@ def test_iterates_floor_and_splits(system, w):
         assert split.floor == (None if ref == float("inf") else ref)
         if w >= 1:
             assert iterate_split(system, split.k, w) == split
+
+
+def ref_split(terms_per_comp):
+    """(head, tail, floor) of an iterate given as word -> coefficient dicts."""
+    z_lengths = [len(w) for terms in terms_per_comp for w in terms if any(k == "z" for k, _ in w)]
+    floor = min(z_lengths, default=None)
+    cut = float("inf") if floor is None else floor
+    head = tuple(FreePoly({w: c for w, c in t.items() if len(w) < cut}) for t in terms_per_comp)
+    tail = tuple(FreePoly({w: c for w, c in t.items() if len(w) >= cut}) for t in terms_per_comp)
+    return head, tail, floor
+
+
+def ref_iterates(system, trunc, k_max):
+    """The first k_max truncated self-compositions by letter-by-letter
+    substitution of the system into the z-slots of the previous iterate."""
+    comps = system.components
+    images = {("z", j + 1): comp for j, comp in enumerate(comps)}
+    current = [{w: c for w, c in comp.terms() if len(w) <= trunc} for comp in comps]
+    exact = all(len(cur) == len(comp) for cur, comp in zip(current, comps))
+    out = []
+    for k in range(1, k_max + 1):
+        out.append((k, *ref_split(current), exact))
+        step = [ref_substitute(FreePoly(cur), images, True, trunc) for cur in current]
+        current = [terms for terms, _ in step]
+        exact = exact and not any(dropped for _, dropped in step)
+    return out
+
+
+@given(S.proper_systems(), st.sampled_from([0, 1, 2, 3, 4, 6, 8]))
+def test_iterates_match_reference_composition(system, trunc):
+    k_max = 5
+    got = [(s.k, s.head, s.tail, s.floor, s.exact) for s in islice(iterates(system, trunc), k_max)]
+    assert got == ref_iterates(system, trunc, k_max)
 
 
 def test_iterates_at_degree_zero():
