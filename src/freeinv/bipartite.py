@@ -3,9 +3,13 @@ matrix-valued injectivity test built on them.
 
 A bipartite polynomial is a sum of split terms u (x) v; left factors commute
 past right factors but not among themselves, so the pair-of-words indexing is
-already a normal form.  The derivative of a polynomial map packs into a square
-bipartite matrix whose invertibility over this ring decides injectivity; a
-returned inverse is always verified by exact multiplication.
+already a normal form.  A key is stored as a pair of encoded words (`str`,
+one code point per letter, as in `freeinv.freealg`), so a key product is two
+byte copies and a key hash combines two cached string hashes; the
+constructor takes and `terms()` returns pairs of letter tuples.  The
+derivative of a polynomial map packs into a square bipartite matrix whose
+invertibility over this ring decides injectivity; a returned inverse is
+always verified by exact multiplication.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .deriv import free_derivative
-from .freealg import FreePoly, Poly, check_alphabet, swap_kinds
+from .freealg import FreePoly, Poly, check_alphabet, decode, encode, encode_letter, swap_kinds
 from .jacobian import REASON_TERM_BUDGET, Matrix, poly_matrix_inverse
 from .inverter import check_limits, rigorous_cap
 
@@ -22,31 +26,23 @@ class NotHyporealization(ValueError):
     """The system is not z-affine linear (or not proper)."""
 
 
-def _pair_key(key):
-    u, v = key
-    return (tuple(u), tuple(v))
-
-
 class BipartitePoly(Poly):
     """Finite sum of (left word, right word) pairs with exact coefficients."""
 
     __slots__ = ()
-    _ONE_KEY = ((), ())
+    _ONE_KEY = ("", "")
     _concat = staticmethod(lambda k1, k2: (k1[0] + k2[0], k1[1] + k2[1]))
     _key_degree = staticmethod(lambda k: len(k[0]) + len(k[1]))
-    _norm_key = staticmethod(_pair_key)
+    _norm_key = staticmethod(lambda k: (encode(k[0]), encode(k[1])))
+    _decode_key = staticmethod(lambda k: (decode(k[0]), decode(k[1])))
 
     @classmethod
     def tensor(cls, left: FreePoly, right: FreePoly):
         """Bilinear split product of two free polynomials."""
-        out = {}
-        for lw, lc in left.terms():
-            for rw, rc in right.terms():
-                c = lc * rc
-                key = (lw, rw)
-                prev = out.get(key)
-                out[key] = c if prev is None else prev + c
-        return cls(out)
+        # distinct word pairs give distinct keys; products may need narrowing
+        return cls._summed(
+            {(lw, rw): lc * rc for lw, lc in left._terms.items() for rw, rc in right._terms.items()}
+        )
 
     def substitute_sides(self, left_images, right_images):
         """Homomorphism acting independently on the two sides.
@@ -55,7 +51,7 @@ class BipartitePoly(Poly):
         each side is preserved structurally by re-tensoring the results.
         """
         out = BipartitePoly.zero()
-        for (u, v), c in self._terms.items():
+        for (u, v), c in self.terms():
             left = FreePoly.one()
             for (_, idx) in u:
                 left = left * left_images[idx]
@@ -78,35 +74,21 @@ class BipartiteMatrix(Matrix):
     ring = BipartitePoly
 
 
-def _split_one_x(word):
-    """Split a word with exactly one x-letter as (prefix, index, suffix)."""
-    found = None
-    for pos, (kind, idx) in enumerate(word):
-        if kind == "x":
-            if found is not None:
-                raise ValueError("word has more than one x-letter")
-            found = (pos, idx)
-    if found is None:
-        raise ValueError("word has no x-letter")
-    pos, idx = found
-    return word[:pos], idx, word[pos + 1 :]
-
-
 def hypo_jacobian(p) -> BipartiteMatrix:
     """Pack the derivative Dp_i(y)[x] = sum U(y) x_j V(y) into the matrix with
     entry (j, i) = sum U^T (x) V; unique by x-linearity of the derivative."""
     g = len(p)
     check_alphabet(p, g, kinds=("x",))
     grid = [[{} for _ in range(g)] for _ in range(g)]
+    row_of = {encode_letter(("x", j + 1)): j for j in range(g)}
     for i, comp in enumerate(p):
         d = swap_kinds(free_derivative(comp), "x", "y")
-        for w, c in d.terms():
-            prefix, j, suffix = _split_one_x(w)
-            key = (prefix[::-1], suffix)
-            cell = grid[j - 1][i]
-            prev = cell.get(key)
-            cell[key] = c if prev is None else prev + c
-    return BipartiteMatrix([[BipartitePoly(cell) for cell in row] for row in grid])
+        for w, c in d._terms.items():
+            # the word's one x-letter x_j; the word and j fix the key, so no
+            # two words share a cell key
+            pos = next(pos for pos, ch in enumerate(w) if ch in row_of)
+            grid[row_of[w[pos]]][i][(w[:pos][::-1], w[pos + 1 :])] = c
+    return BipartiteMatrix([[BipartitePoly._raw(cell) for cell in row] for row in grid])
 
 
 bipartite_matrix_inverse = poly_matrix_inverse

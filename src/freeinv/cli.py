@@ -119,19 +119,23 @@ def cmd_aux_iterate(args):
     if any(constants):
         print("error: map must have zero constant term", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    j_inv = inverter.jacobian_gate(p, args.max_terms or None)
+    budget = args.max_terms or None
+    out_of_budget = f"indeterminate: the term budget (--max-terms {args.max_terms}) ran out"
+    j_inv = inverter.jacobian_gate(p, budget)
     if isinstance(j_inv, jacobian.NotPolyInvertible):
         if j_inv.reason == jacobian.REASON_TERM_BUDGET:
-            print(
-                f"indeterminate: the term budget (--max-terms {args.max_terms}) ran out "
-                "while inverting the Jacobian",
-                file=sys.stderr,
-            )
+            print(f"{out_of_budget} while inverting the Jacobian", file=sys.stderr)
             return EXIT_INDETERMINATE
         print(f"error: Jacobian not polynomially invertible ({j_inv.reason})", file=sys.stderr)
         return EXIT_NEGATIVE
     system = jacobian.auxiliary_inverse(p, j_inv)
-    split = sysolve.iterate_split(system, args.k, args.trunc)
+    # the budget bounds every iterate on the way to the k-th, as in `invert`
+    for split in sysolve.iterates(system, args.trunc):
+        if budget is not None and sum(map(len, split.head + split.tail)) > budget:
+            print(f"{out_of_budget} at iterate {split.k}", file=sys.stderr)
+            return EXIT_INDETERMINATE
+        if split.k == args.k:
+            break
     floor = "inf" if split.floor is None and split.exact else (
         f">{args.trunc}" if split.floor is None else split.floor
     )

@@ -8,22 +8,29 @@ carries exactly one y-letter).
 
 from __future__ import annotations
 
-from .freealg import FreePoly, swap_kinds
+from .freealg import FreePoly, decode_letter, encode_letter, swap_kinds
 
 
 def free_derivative(f: FreePoly, *, base_kind="x", direction_kind="y") -> FreePoly:
     """Directional derivative; constants map to 0."""
+    # the direction letter of every base letter that occurs
+    direction = {}
+    for ch in set().union(*f._terms):
+        kind, idx = decode_letter(ch)
+        if kind == base_kind:
+            direction[ch] = encode_letter((direction_kind, idx))
     out = {}
-    for w, c in f.terms():
-        for pos, (kind, idx) in enumerate(w):
-            if kind != base_kind:
+    for w, c in f._terms.items():
+        for pos, ch in enumerate(w):
+            if ch not in direction:
+                kind, idx = decode_letter(ch)
                 raise ValueError(
                     f"free_derivative expects {base_kind}-letters only, found {kind}{idx}"
                 )
-            nw = w[:pos] + ((direction_kind, idx),) + w[pos + 1 :]
+            nw = w[:pos] + direction[ch] + w[pos + 1 :]
             prev = out.get(nw)
             out[nw] = c if prev is None else prev + c
-    return FreePoly(out)
+    return FreePoly._summed(out)
 
 
 def derivative_map(p):

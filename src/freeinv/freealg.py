@@ -1,11 +1,21 @@
 """Free (noncommutative) polynomials over tagged multi-alphabets.
 
 A letter is a (kind, index) pair with kind in "xyzwhk" and index >= 1; a word
-is a tuple of letters (the empty tuple is the multiplicative identity).  A
+is a sequence of letters (the empty word is the multiplicative identity).  A
 FreePoly is a finite word -> coefficient map over the exact Gaussian
 rationals; zero coefficients are never stored, so degree queries are
 O(#terms).  Its arithmetic lives in `Poly`, the ring-generic core that the
 bipartite polynomials share.
+
+Words are stored as `str`, one code point per letter: letter (kind, i) is
+chr(6*(i-1) + rank(kind) + 1) with kinds ranked x < y < z < w < h < k.  The
+code is index-major, so every kind up to index 42 stays in latin-1: words are
+1-byte strings whose hashes Python caches, concatenation is a byte copy, and
+iterating a word yields cached one-character strings.  The public boundary
+speaks tuples of letters: `FreePoly({word: c})`, `monomial`, `letter` and
+`coefficient` encode, `terms()`, `sorted_terms()` and `letters()` decode, and
+substitution images are keyed by letter tuples.  Everything inside the
+package that runs per term works on the encoded `_terms` directly.
 
 Each stored coefficient has its narrowest exact type (`scalars.exact`): an
 int, else a Fraction, else a GaussianRational.  The constructor narrows every
@@ -32,10 +42,8 @@ _KIND_RANK = {k: r for r, k in enumerate(KINDS)}
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-EMPTY_WORD = ()
-
-# the kind of a letter; `kind in map(letter_kind, w)` scans a word at C speed
-letter_kind = operator.itemgetter(0)
+# the stored form of the empty word
+EMPTY_WORD = ""
 
 
 class UnboundLetter(KeyError):
@@ -52,6 +60,47 @@ def letter(kind: str, index: int):
     if index < 1:
         raise ValueError("letter index must be >= 1")
     return (kind, index)
+
+
+# -- the word codec (see the module docstring) ----------------------------------
+#
+# Both directions are memoised in dicts that start empty and fill with the
+# letters actually met, so a word converts at C speed through `map` over a
+# dict lookup.
+
+
+class _CodePoints(dict):
+    """letter -> its one-character code, checked and filled on first use."""
+
+    def __missing__(self, let):
+        kind, i = let
+        if kind not in _KIND_RANK or not isinstance(i, int) or i < 1:
+            raise ValueError(f"not a letter (kind in {KINDS!r}, index >= 1): {let!r}")
+        ch = self[let] = chr(6 * i - 5 + _KIND_RANK[kind])
+        return ch
+
+
+class _Letters(dict):
+    """one-character code -> its letter, filled on first use."""
+
+    def __missing__(self, ch):
+        i, r = divmod(ord(ch) - 1, 6)
+        let = self[ch] = (KINDS[r], i + 1)
+        return let
+
+
+encode_letter = _CodePoints().__getitem__
+decode_letter = _Letters().__getitem__
+
+
+def encode(w) -> str:
+    """The stored form of a word given as a sequence of (kind, index) letters."""
+    return "".join(map(encode_letter, w))
+
+
+def decode(s: str) -> tuple:
+    """The tuple of letters of a stored word."""
+    return tuple(map(decode_letter, s))
 
 
 def word_key(w):
@@ -95,15 +144,17 @@ class Poly:
     """A finite key -> nonzero exact coefficient map over a graded key monoid.
 
     Subclasses fix the key algebra through hooks: `_ONE_KEY` (the identity
-    key), `_concat` (key product), `_key_degree` (graded degree of a key) and
-    `_norm_key` (the canonical form of a key given to the constructor).
-    Everything else -- normalisation, constructors, equality, ring arithmetic
-    and graded queries -- is shared.
+    key), `_concat` (key product), `_key_degree` (graded degree of a key),
+    `_norm_key` (the stored form of a key given to the constructor) and
+    `_decode_key` (its public form, as `terms()` returns it).  Everything
+    else -- normalisation, constructors, equality, ring arithmetic and graded
+    queries -- is shared.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
+        # keys arrive in the public form and are stored encoded (`_norm_key`)
         clean = {}
         if terms:
             norm = self._norm_key
@@ -121,6 +172,11 @@ class Poly:
         p = object.__new__(cls)
         p._terms = terms
         return p
+
+    @classmethod
+    def _summed(cls, terms: dict):
+        # internal: canonical keys whose coefficients are sums of stored ones
+        return cls._raw(_settled({k: c for k, c in terms.items() if c}))
 
     # -- constructors ------------------------------------------------------
 
@@ -142,7 +198,9 @@ class Poly:
     # -- inspection --------------------------------------------------------
 
     def terms(self):
-        return self._terms.items()
+        """(key, coefficient) pairs with keys in their public form."""
+        decode_key = self._decode_key
+        return [(decode_key(k), c) for k, c in self._terms.items()]
 
     def constant_term(self):
         return self._terms.get(self._ONE_KEY, 0)
@@ -261,49 +319,46 @@ class FreePoly(Poly):
     _ONE_KEY = EMPTY_WORD
     _concat = staticmethod(operator.add)
     _key_degree = staticmethod(len)
-    _norm_key = staticmethod(tuple)
+    _norm_key = staticmethod(encode)
+    _decode_key = staticmethod(decode)
 
     @classmethod
     def letter(cls, kind: str, index: int):
-        return cls._raw({(letter(kind, index),): 1})
+        return cls._raw({encode_letter(letter(kind, index)): 1})
 
     @classmethod
     def monomial(cls, w, coeff=1):
         g = exact(coeff)
         if g is None:
             raise TypeError(f"bad coefficient {coeff!r}")
-        return cls._raw({tuple(w): g} if g else {})
+        return cls._raw({encode(w): g} if g else {})
 
     def sorted_terms(self):
-        return sorted(self._terms.items(), key=lambda t: word_key(t[0]))
+        """`terms()` in graded-lexicographic order."""
+        # renumber the letters that occur in letter order, so that comparing
+        # the renumbered words compares them letter by letter
+        letters = sorted(set().union(*self._terms), key=lambda ch: word_key((decode_letter(ch),)))
+        table = {ord(ch): n for n, ch in enumerate(letters, 1)}
+        ordered = sorted(self._terms.items(), key=lambda t: (len(t[0]), t[0].translate(table)))
+        return [(decode(w), c) for w, c in ordered]
 
     def coefficient(self, w):
-        return self._terms.get(tuple(w), 0)
+        return self._terms.get(encode(w), 0)
 
     def dz_degree(self, kind="z"):
         """Min total length among words containing a letter of `kind`; +inf if none."""
-        best = POS_INF
-        for w in self._terms:
-            if len(w) < best and kind in map(letter_kind, w):
-                best = len(w)
-        return best
+        # the letters of `kind` that occur; then one C-speed set test per word
+        chars = {ch for ch in set().union(*self._terms) if decode_letter(ch)[0] == kind}
+        return min((len(w) for w in self._terms if not chars.isdisjoint(w)), default=POS_INF)
 
     def letters(self):
-        out = set()
-        for w in self._terms:
-            out.update(w)
-        return out
+        return set(map(decode_letter, set().union(*self._terms)))
 
     # -- structure ---------------------------------------------------------
 
     def transpose(self):
         """Reverse every word; an involutive anti-automorphism."""
-        out = {}
-        for w, c in self._terms.items():
-            rw = w[::-1]
-            prev = out.get(rw)
-            out[rw] = c if prev is None else prev + c
-        return FreePoly(out)
+        return FreePoly._raw({w[::-1]: c for w, c in self._terms.items()})
 
     def truncate(self, bound: int):
         """Drop all words of length > bound."""
@@ -353,6 +408,7 @@ def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=Non
     run is checked against `trunc` before the next image is expanded, so
     `dropped` is set even when that image is zero.
     """
+    images = {encode_letter(let): img for let, img in images.items()}
     if trunc is None:
         # nothing is pruned, so each image is one group
         limit = POS_INF
@@ -385,7 +441,8 @@ def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=Non
             grp = groups.get(let)
             if grp is None:
                 if not default_identity:
-                    raise UnboundLetter(f"no substitution image for letter {_letter_str(let)}")
+                    let = _letter_str(decode_letter(let))
+                    raise UnboundLetter(f"no substitution image for letter {let}")
                 continue
             # the longest partial product that still fits once the letters
             # after pos are appended
@@ -449,12 +506,14 @@ def rename_letters(f: FreePoly, mapper) -> FreePoly:
         fn = lambda let: mapper.get(let, let)  # noqa: E731
     else:
         fn = mapper
+    # one translation table over the letters that occur
+    table = {ord(ch): encode_letter(fn(decode_letter(ch))) for ch in set().union(*f._terms)}
     out = {}
     for w, c in f._terms.items():
-        nw = tuple(fn(let) for let in w)
+        nw = w.translate(table)
         prev = out.get(nw)
         out[nw] = c if prev is None else prev + c
-    return FreePoly(out)
+    return FreePoly._summed(out)
 
 
 def swap_kinds(f: FreePoly, kind_a: str, kind_b: str) -> FreePoly:

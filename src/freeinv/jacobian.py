@@ -28,6 +28,7 @@ from .freealg import (
     NEG_INF,
     FreePoly,
     check_alphabet,
+    decode_letter,
     rename_letters,
 )
 
@@ -148,15 +149,11 @@ def jacobian_extract(p):
     constants = tuple(comp.constant_term() for comp in p)
     grid = [[{} for _ in range(h)] for _ in range(g)]
     for j, comp in enumerate(p):
-        for w, c in comp.terms():
-            if not w:
-                continue
-            s = w[0][1]
-            rest = w[1:]
-            row = grid[s - 1][j]
-            prev = row.get(rest)
-            row[rest] = c if prev is None else prev + c
-    return constants, PolyMatrix([[FreePoly(cell) for cell in row] for row in grid])
+        for w, c in comp._terms.items():
+            # a word is its first letter and the rest, so no two words meet
+            if w:
+                grid[decode_letter(w[0])[1] - 1][j][w[1:]] = c
+    return constants, PolyMatrix([[FreePoly._raw(cell) for cell in row] for row in grid])
 
 
 def reconstruct(constants, J):
@@ -252,7 +249,7 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
         terms += _merge(total, layer)
         if max_terms is not None and terms > max_terms:
             return NotPolyInvertible(REASON_TERM_BUDGET, degree_cap)
-    R = cls([[cls.ring(t) for t in row] for row in total])
+    R = cls([[cls.ring._raw(t) for t in row] for row in total])
     ident = cls.identity(n)
     if M * R == ident and R * M == ident:
         return R

@@ -1,17 +1,20 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Matrices are immutable tuples of row tuples of exact scalars: `mat`,
-`identity` and `zeros` build them from GaussianRational values, and the
-entries of computed matrices are whatever exact type GaussianRational
-arithmetic narrows its results to (see `freeinv.scalars`).  No floating point
-anywhere; singularity is decided exactly by Gauss-Jordan elimination.
+Matrices are immutable tuples of row tuples of exact scalars.  `mat` and
+`identity` build them from GaussianRational values; `zeros`, `scale`, `mul`
+and `inverse` produce entries in their narrowest exact type
+(`scalars.exact`), so products of integer matrices run on native ints.  No
+floating point anywhere; singularity is decided exactly by Gauss-Jordan
+elimination.
 """
 
 from __future__ import annotations
 
-from .scalars import GaussianRational, as_gaussian
+from .scalars import GaussianRational, as_gaussian, exact
 
 _ZERO = GaussianRational(0)
+# the reciprocal's numerator: GaussianRational division stays exact and
+# narrows its result, where int / int would give a float
 _ONE = GaussianRational(1)
 
 
@@ -26,7 +29,7 @@ def identity(n):
 
 
 def zeros(r, c):
-    return tuple(tuple(_ZERO for _ in range(c)) for _ in range(r))
+    return tuple((0,) * c for _ in range(r))
 
 
 def add(a, b):
@@ -38,14 +41,14 @@ def sub(a, b):
 
 
 def scale(a, c):
-    c = as_gaussian(c)
+    c = exact(c)
     return tuple(tuple(x * c for x in row) for row in a)
 
 
 def mul(a, b):
     bt = tuple(zip(*b))
     return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), _ZERO) for col in bt) for row in a
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
 
 
@@ -81,8 +84,8 @@ def unvec(row, n):
 
 def direct_sum(a, b):
     na, nb = len(a), len(b)
-    top = tuple(tuple(a[i]) + tuple(_ZERO for _ in range(nb)) for i in range(na))
-    bot = tuple(tuple(_ZERO for _ in range(na)) + tuple(b[i]) for i in range(nb))
+    top = tuple(tuple(a[i]) + (0,) * nb for i in range(na))
+    bot = tuple((0,) * na + tuple(b[i]) for i in range(nb))
     return top + bot
 
 
@@ -106,13 +109,14 @@ def _eliminate(a, rhs):
             if r != col and work[r][col]:
                 factor = work[r][col]
                 work[r] = [e - factor * p for e, p in zip(work[r], work[col])]
-    return tuple(tuple(row[n:width]) for row in work)
+    # Fractions may reduce to integers on the way
+    return tuple(tuple(map(exact, row[n:width])) for row in work)
 
 
 def inverse(a):
     """Exact inverse, or None when singular."""
     n = len(a)
-    return _eliminate(a, identity(n))
+    return _eliminate(a, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def solve(a, b):

@@ -1,7 +1,9 @@
 """Exact evaluation of free and bipartite polynomials on matrix tuples.
 
 All verification runs over exact Gaussian-rational matrices; singularity of
-the linear systems arising in split-term evaluation is decided exactly.
+the linear systems arising in split-term evaluation is decided exactly.  A
+`MatrixTuple` stores each entry in its narrowest exact type, so polynomials
+evaluate on native ints at integer points.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from .bipartite import BipartiteMatrix, Hyporealization, hypomatrix_rep
 from .deriv import free_derivative
 from .freealg import ArityMismatch, FreePoly
 from .linalg import kron, unvec
-from .scalars import GaussianRational
+from .scalars import GaussianRational, exact
 
 
 class SizeMismatch(ValueError):
@@ -32,7 +34,7 @@ class MatrixTuple:
     mats: tuple
 
     def __post_init__(self):
-        mats = tuple(linalg.mat(m) for m in self.mats)
+        mats = tuple(tuple(tuple(map(exact, row)) for row in m) for m in self.mats)
         for m in mats:
             if len(m) != self.n or any(len(row) != self.n for row in m):
                 raise SizeMismatch("all matrices must be square of the declared size")
@@ -96,13 +98,13 @@ def _env_of(X):
 
 
 def eval_word(word, env, n):
-    acc = linalg.identity(n)
+    acc = None
     for (kind, idx) in word:
         tup = env.get(kind)
         if tup is None or idx > tup.arity:
             raise ArityMismatch(f"no matrix for letter {kind}{idx}")
-        acc = linalg.mul(acc, tup[idx - 1])
-    return acc
+        acc = tup[idx - 1] if acc is None else linalg.mul(acc, tup[idx - 1])
+    return linalg.identity(n) if acc is None else acc
 
 
 def eval_poly(f: FreePoly, X):

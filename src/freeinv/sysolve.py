@@ -29,6 +29,7 @@ from . import linalg
 from .freealg import (
     POS_INF,
     FreePoly,
+    encode_letter,
     substitute_tracked,
 )
 
@@ -132,7 +133,7 @@ def _split(components, k, exact, z_letters):
     for comp in components:
         h_terms = {}
         t_terms = {}
-        for w, c in comp.terms():
+        for w, c in comp._terms.items():
             (h_terms if len(w) < floor else t_terms)[w] = c
         head.append(FreePoly._raw(h_terms))
         tail.append(FreePoly._raw(t_terms))
@@ -145,10 +146,11 @@ def iterates(system, trunc: int):
     _require_proper(system)
     comps = _as_components(system)
     images = {("z", j + 1): comp for j, comp in enumerate(comps)}
+    z_letters = frozenset(map(encode_letter, images))
     current = tuple(c.truncate(trunc) for c in comps)
     exact = all(len(cur) == len(orig) for cur, orig in zip(current, comps))
     for k in count(1):
-        yield _split(current, k, exact, images.keys())
+        yield _split(current, k, exact, z_letters)
         current, dropped = _step(images, current, trunc)
         exact = exact and not dropped
 

@@ -207,6 +207,22 @@ def test_aux_iterate_term_budget_is_indeterminate(capsys):
     assert code == 0 and out.startswith("k = 3")
 
 
+def test_aux_iterate_term_budget_bounds_the_iteration(capsys):
+    # NILPOTENT passes the Jacobian gate; its iterates then double in size
+    nilpotent = ("x1 + x1^2 + x2*x1", "x2 - x1^2 - x2*x1")
+    argv = ("aux-iterate", "-g", "2", "-k", "12", "--trunc", "24")
+    code, out, err = run_cli(capsys, *argv, "--max-terms", "100", *nilpotent)
+    assert code == 3
+    assert out == ""
+    assert "--max-terms 100" in err and "iterate" in err
+    # a budget the iterates fit in changes nothing
+    code, out, _ = run_cli(capsys, "aux-iterate", "-g", "2", "-k", "3", "--trunc", "6",
+                           "--max-terms", "40", *nilpotent)
+    unbounded = run_cli(capsys, "aux-iterate", "-g", "2", "-k", "3", "--trunc", "6",
+                        "--max-terms", "0", *nilpotent)
+    assert (code, out) == unbounded[:2] and code == 0
+
+
 def test_internal_value_error_is_not_an_input_error(monkeypatch):
     from freeinv import inverter
 
