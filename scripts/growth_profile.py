@@ -40,7 +40,7 @@ def main():
     # the time on row k is the step that built iterate k (row 1: the truncation)
     for split in iterates(system, w):
         dt = time.time() - t
-        total = sum(map(len, split.head + split.tail))
+        total = split.terms
         print(f"{split.k:>3} {total:>10} {int(split.head_degree()):>9} {split.floor!s:>8} {dt:>9.2f}s")
         k = split.k + 1
         if total > 200_000 or k > bound:

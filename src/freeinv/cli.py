@@ -131,7 +131,7 @@ def cmd_aux_iterate(args):
     system = jacobian.auxiliary_inverse(p, j_inv)
     # the budget bounds every iterate on the way to the k-th, as in `invert`
     for split in sysolve.iterates(system, args.trunc):
-        if budget is not None and sum(map(len, split.head + split.tail)) > budget:
+        if budget is not None and split.terms > budget:
             print(f"{out_of_budget} at iterate {split.k}", file=sys.stderr)
             return EXIT_INDETERMINATE
         if split.k == args.k:

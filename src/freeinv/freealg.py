@@ -380,6 +380,19 @@ def _length_groups(img):
     return sorted(groups.items())
 
 
+class SubstitutionImages:
+    """Substitution images set up once for any number of truncated
+    `substitute_tracked` calls: keyed by encoded letter, each image's terms
+    grouped by length, and the lookahead flag."""
+
+    __slots__ = ("groups", "lookahead")
+
+    def __init__(self, images):
+        encoded = {encode_letter(let): img for let, img in images.items()}
+        self.groups = {let: _length_groups(img) for let, img in encoded.items()}
+        self.lookahead = all(img and EMPTY_WORD not in img._terms for img in encoded.values())
+
+
 def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=None):
     """Apply the algebra homomorphism letter -> images[letter].
 
@@ -391,8 +404,9 @@ def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=Non
     with no bound letter (a letter with an image) is its own image, and all
     such words are copied in one pass before any expansion; in a word with a
     bound letter each run of unbound letters is appended as one slice.  Under
-    `trunc` each image's terms are grouped by length once per call, so
-    extending a partial product stops at the first group that cannot fit.
+    `trunc` each image's terms are grouped by length once per call (or once
+    for all calls, when `images` is a `SubstitutionImages`), so extending a
+    partial product stops at the first group that cannot fit.
 
     Lookahead.  When every image is nonzero and constant-free, every letter
     still to come adds at least one letter, so a partial product of length L
@@ -408,21 +422,25 @@ def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=Non
     run is checked against `trunc` before the next image is expanded, so
     `dropped` is set even when that image is zero.
     """
-    images = {encode_letter(let): img for let, img in images.items()}
-    if trunc is None:
+    if isinstance(images, SubstitutionImages):
+        groups, lookahead = images.groups, images.lookahead
+    elif trunc is None:
         # nothing is pruned, so each image is one group
+        groups = {encode_letter(let): [(0, img._terms.items())] for let, img in images.items()}
+    else:
+        images = SubstitutionImages(images)
+        groups, lookahead = images.groups, images.lookahead
+    if trunc is None:
         limit = POS_INF
-        groups = {let: [(0, img._terms.items())] for let, img in images.items()}
         lookahead = False
     else:
         limit = trunc
-        groups = {let: _length_groups(img) for let, img in images.items()}
-        lookahead = all(img and EMPTY_WORD not in img._terms for img in images.values())
+    bound = groups.keys()
     out = {}
     dropped = False
     words = f._terms.items()
     if default_identity:
-        unbound_word = images.keys().isdisjoint
+        unbound_word = bound.isdisjoint
         bound_words = []
         for w, coeff in words:
             if not unbound_word(w):
@@ -434,7 +452,7 @@ def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=Non
         words = bound_words
     for w, coeff in words:
         n = len(w)
-        look = lookahead and (default_identity or images.keys() >= set(w))
+        look = lookahead and (default_identity or bound >= set(w))
         acc = {EMPTY_WORD: coeff}
         start = 0
         for pos, let in enumerate(w):

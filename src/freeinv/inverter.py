@@ -227,7 +227,7 @@ def invert(p, cap: int | None = None, max_terms: int | None = None) -> Inversion
             # an exact split is the untruncated iterate, so every decision up
             # to here is the one the pass at w_outer would make
             final = split.exact or w == w_outer
-            if max_terms is not None and sum(map(len, split.head + split.tail)) > max_terms:
+            if max_terms is not None and split.terms > max_terms:
                 return outcome(
                     OUTCOME_INDETERMINATE, iterations=k, reason=REASON_BUDGET, cap_used=w
                 )
@@ -250,8 +250,10 @@ def invert(p, cap: int | None = None, max_terms: int | None = None) -> Inversion
             # a stabilized head degree suggests the head has converged; trying it
             # early is unconditionally sound because of the exact verification
             attempt = gap or (prev_head_deg == head_deg_int)
-            if attempt and split.head != last_attempt:
-                last_attempt = split.head
+            # the head only grows (its words are final), so a head with as
+            # many words as at the last attempt is that head
+            if attempt and split.head_terms != last_attempt:
+                last_attempt = split.head_terms
                 q = _restore_constant(split.head, constants)
                 if verify_inverse(p, q):
                     return outcome(OUTCOME_INVERSE, q=q, iterations=k, cap_used=w)

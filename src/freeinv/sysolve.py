@@ -10,25 +10,52 @@ constant-term-free substitution never shortens words.
 truncated self-composition in turn, and `iterate_split`, `solve_truncated`
 (hence `implicit_solve`) and the inversion driver all consume it.
 
-A composition step pays per surviving partial product: only z-letters have
-images, so `substitute_tracked` copies a z-free word through whole and each run
-of x-letters as one slice, and since the images (the components) are
-constant-free it extends a partial product only while it can still fit under
-the working degree once the rest of its word is appended -- every later letter
-adds at least one.  A zero component switches that lookahead off; the system
-x J^-1(z) of the inversion driver never has one, because J^-1(0) is
+The iterate is held factored, per component:
+
+- its z-free words by length, one bucket per length;
+- its z-words by (beta, l) -> {u: c}, where beta is the suffix from the
+  first z-letter and u the z-free prefix of length l, so that the word is
+  u beta.
+
+The floor is min(l + |beta|) over the groups, with no scan of the words.
+
+A step substitutes the system into the z-slots of every word u beta.  Only
+z-letters have images, so the image of u beta is u times the image of beta,
+and its truncation at W is u times the image of beta truncated at W - l.
+The lookahead and the `dropped` flag of `substitute_tracked` agree too: every
+length bound it tests on the prefixed word is the one it tests on beta,
+shifted by l.  So each (beta, l) is expanded once per pass, by one call of
+`substitute_tracked` on the word beta, and a step accumulates the products
+u tau over its groups.  Expanding pays per surviving partial product: x-runs
+are appended as one slice, and since the images (the components) are
+constant-free a partial product is extended only while it can still fit
+under the working degree once the rest of its word is appended -- every later
+letter adds at least one.  A zero component switches that lookahead off; the
+system x J^-1(z) of the inversion driver never has one, because J^-1(0) is
 invertible.
+
+Finality.  The z-free words a step adds are images of z-words, which have
+length >= floor, and substitution never shortens a word; so the buckets
+below the floor are final, and no later step reads or copies their words.  The
+buckets at or above it are copied when a step first writes to them, so a
+split yielded earlier stays valid however far the generator runs.  The head
+(the buckets below the floor) therefore only grows from one iterate to the
+next, and its size tells whether it changed.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import count, islice
 
 from . import linalg
 from .freealg import (
+    NEG_INF,
     POS_INF,
     FreePoly,
+    SubstitutionImages,
+    _settled,
     encode_letter,
     substitute_tracked,
 )
@@ -84,7 +111,6 @@ def check_proper(system) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class IterateSplit:
     """The k-th self-composition split at its z-degree floor.
 
@@ -92,16 +118,75 @@ class IterateSplit:
     iterate; None means no z-word survived at the working degree.  When
     `exact` is True nothing was ever truncated, so floor None certifies that
     the untruncated iterate has no z-words at all (a true fixed point).
+
+    `head` (the words below the floor, all z-free) and `tail` (the rest) are
+    built on first access from the factored iterate; `terms` counts the words
+    of both and `head_terms` those of the head.  Two splits are equal when
+    their k, head, tail, floor and exact are.
     """
 
-    k: int
-    head: tuple
-    tail: tuple
-    floor: int | None
-    exact: bool
+    __slots__ = ("k", "floor", "exact", "terms", "head_terms", "_iterate", "_cut", "_head", "_tail")
+
+    def __init__(self, k, iterate, exact):
+        self.k = k
+        self.exact = exact
+        self._iterate = iterate
+        self._head = self._tail = None
+        floor = min((ell + len(beta) for _, zwords in iterate for beta, ell in zwords), default=None)
+        self.floor = floor
+        self._cut = cut = POS_INF if floor is None else floor
+        self.head_terms = sum(len(b) for free, _ in iterate for n, b in free.items() if n < cut)
+        self.terms = sum(len(b) for free, _ in iterate for b in free.values()) + sum(
+            len(us) for _, zwords in iterate for us in zwords.values()
+        )
+
+    @property
+    def head(self):
+        if self._head is None:
+            cut = self._cut
+            head = []
+            for free, _ in self._iterate:
+                terms = {}
+                for n, bucket in free.items():
+                    if n < cut:
+                        terms.update(bucket)
+                head.append(FreePoly._raw(terms))
+            self._head = tuple(head)
+        return self._head
+
+    @property
+    def tail(self):
+        if self._tail is None:
+            cut = self._cut
+            tail = []
+            for free, zwords in self._iterate:
+                terms = {}
+                for n, bucket in free.items():
+                    if n >= cut:
+                        terms.update(bucket)
+                for (beta, _), us in zwords.items():
+                    for u, c in us.items():
+                        terms[u + beta] = c
+                tail.append(FreePoly._raw(terms))
+            self._tail = tuple(tail)
+        return self._tail
 
     def head_degree(self):
-        return max((comp.degree() for comp in self.head), default=float("-inf"))
+        return max((n for free, _ in self._iterate for n in free if n < self._cut), default=NEG_INF)
+
+    def _key(self):
+        return (self.k, self.head, self.tail, self.floor, self.exact)
+
+    def __eq__(self, other):
+        if not isinstance(other, IterateSplit):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "IterateSplit(k={!r}, head={!r}, tail={!r}, floor={!r}, exact={!r})".format(*self._key())
 
 
 def _require_proper(system):
@@ -109,35 +194,132 @@ def _require_proper(system):
         raise ImproperSystem("system must be constant-term-free with z-degree floor > 1")
 
 
-def _step(images, current, trunc):
-    """One composition step: substitute the base system (as z-slot `images`)
-    into the z-slots of the current iterate (the cheap orientation; both give
-    the same composite by the semigroup law for self-composition)."""
+def _file(words, bucket, zwords, first_z):
+    """Add each term of `words` to its length bucket, bucket(n), if it is
+    z-free, else to its group zwords[beta, l][u], where u is its z-free
+    prefix of length l and beta the rest."""
+    for w, c in words.items():
+        m = first_z(w)
+        if m is None:
+            _put(bucket(len(w)), w, c)
+        else:
+            j = m.start()
+            _put(zwords.setdefault((w[j:], j), {}), w[:j], c)
+
+
+def _expand(images, beta, ell, trunc):
+    """The image tau of the z-suffix beta truncated at trunc - l, as
+    [tau's (word, coeff) list, whether a word was dropped, None]; the last
+    slot is for `_split_expansion`."""
+    tau, dropped = substitute_tracked(FreePoly._raw({beta: 1}), images, default_identity=True, trunc=trunc - ell)
+    return [list(tau._terms.items()), dropped, None]
+
+
+def _split_expansion(terms, ell, first_z):
+    """tau's terms by target: (l + |t| -> [(t, coeff)] for the z-free terms,
+    (suffix from the first z-letter, l + |prefix|) -> [(prefix, coeff)] for
+    the z-terms), as two item lists."""
+    buckets = {}
+    groups = {}
+    for t, c in terms:
+        m = first_z(t)
+        if m is None:
+            buckets.setdefault(ell + len(t), []).append((t, c))
+        else:
+            j = m.start()
+            groups.setdefault((t[j:], ell + j), []).append((t[:j], c))
+    return list(buckets.items()), list(groups.items())
+
+
+def _put(target, w, c):
+    """target[w] += c, dropping a zero sum."""
+    prev = target.get(w)
+    if prev is None:
+        target[w] = c
+    else:
+        c += prev
+        if c:
+            target[w] = c
+        else:
+            del target[w]
+
+
+def _add(target, us, part):
+    """target += sum of us[u] * c * (u t) over u and (t, c) in part, dropping
+    zero sums (`_put` inlined: this is the innermost loop)."""
+    get = target.get
+    for u, c in us.items():
+        for t, tc in part:
+            w = u + t
+            v = c * tc
+            prev = get(w)
+            if prev is None:
+                target[w] = v
+            else:
+                v += prev
+                if v:
+                    target[w] = v
+                else:
+                    del target[w]
+
+
+def _step(images, iterate, trunc, expansions, first_z):
+    """One composition step on the factored iterate: substitute the base
+    system (as z-slot `images`) into the z-slots of the current iterate (the
+    cheap orientation; both give the same composite by the semigroup law for
+    self-composition).
+
+    Each (beta, l) group expands beta once, truncated at trunc - l, and
+    `expansions` keeps that expansion for the pass.  A group with many
+    prefixes u writes u tau straight into its target buckets and groups.  A
+    group with few would pay a target lookup per term of tau for one or two
+    products, so its words go to one flat dict, which is split by first
+    z-letter once all products (which often merge) are in.
+    """
     out = []
     dropped = False
-    for comp in current:
-        res, d = substitute_tracked(comp, images, default_identity=True, trunc=trunc)
-        out.append(res)
-        dropped = dropped or d
+    for free, zwords in iterate:
+        free = dict(free)
+        written = set()
+
+        def bucket(n):
+            # copy on write: an earlier split may still read the old bucket
+            if n not in written:
+                written.add(n)
+                free[n] = dict(free.get(n, ()))
+            return free[n]
+
+        new_zwords = {}
+        flat = {}
+        for key, us in zwords.items():
+            entry = expansions.get(key)
+            if entry is None:
+                entry = expansions[key] = _expand(images, *key, trunc)
+            terms, d, split = entry
+            dropped = dropped or d
+            if len(us) < _WIDE:
+                _add(flat, us, terms)
+                continue
+            if split is None:
+                split = entry[2] = _split_expansion(terms, key[1], first_z)
+            buckets, groups = split
+            for n, part in buckets:
+                _add(bucket(n), us, part)
+            for target, part in groups:
+                _add(new_zwords.setdefault(target, {}), us, part)
+        _file(flat, bucket, new_zwords, first_z)
+        for n in written:
+            if free[n]:
+                free[n] = _settled(free[n])
+            else:
+                del free[n]
+        out.append((free, {key: _settled(us) for key, us in new_zwords.items() if us}))
     return tuple(out), dropped
 
 
-def _split(components, k, exact, z_letters):
-    # the z-degree floor: one C-speed membership test per word, not per letter
-    z_lengths = (len(w) for comp in components for w in comp._terms if not z_letters.isdisjoint(w))
-    floor = min(z_lengths, default=None)
-    if floor is None:
-        return IterateSplit(k, tuple(components), tuple(FreePoly.zero() for _ in components), None, exact)
-    head = []
-    tail = []
-    for comp in components:
-        h_terms = {}
-        t_terms = {}
-        for w, c in comp._terms.items():
-            (h_terms if len(w) < floor else t_terms)[w] = c
-        head.append(FreePoly._raw(h_terms))
-        tail.append(FreePoly._raw(t_terms))
-    return IterateSplit(k, tuple(head), tuple(tail), floor, exact)
+# groups with fewer prefixes than this take the flat route in `_step`; 2, 4
+# and 8 timed alike within noise on the benchmark workloads
+_WIDE = 4
 
 
 def iterates(system, trunc: int):
@@ -145,13 +327,22 @@ def iterates(system, trunc: int):
     `trunc`, for k = 1, 2, ...; `exact` stays True while no word was dropped."""
     _require_proper(system)
     comps = _as_components(system)
-    images = {("z", j + 1): comp for j, comp in enumerate(comps)}
-    z_letters = frozenset(map(encode_letter, images))
+    letters = [("z", j + 1) for j in range(len(comps))]
+    images = SubstitutionImages(dict(zip(letters, comps)))
+    first_z = re.compile("[" + re.escape("".join(map(encode_letter, letters))) + "]").search
     current = tuple(c.truncate(trunc) for c in comps)
     exact = all(len(cur) == len(orig) for cur, orig in zip(current, comps))
+    iterate = []
+    for comp in current:
+        free = {}
+        zwords = {}
+        _file(comp._terms, lambda n: free.setdefault(n, {}), zwords, first_z)
+        iterate.append((free, zwords))
+    iterate = tuple(iterate)
+    expansions = {}
     for k in count(1):
-        yield _split(current, k, exact, z_letters)
-        current, dropped = _step(images, current, trunc)
+        yield IterateSplit(k, iterate, exact)
+        iterate, dropped = _step(images, iterate, trunc, expansions, first_z)
         exact = exact and not dropped
 
 

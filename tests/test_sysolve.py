@@ -1,5 +1,6 @@
 """Proper-system iteration, splits, truncated solving, implicit solving."""
 
+import random
 from itertools import islice
 
 import pytest
@@ -17,10 +18,14 @@ from freeinv import (
     iterate_split,
     iterates,
     solve_truncated,
+    auxiliary_inverse,
     substitute,
 )
+from freeinv.inverter import jacobian_gate
 
 import strategies as S
+from corpus import NILPOTENT
+from tame import random_tame_pair
 from test_substitute import ref_substitute
 
 x1 = FreePoly.letter("x", 1)
@@ -29,6 +34,11 @@ z1 = FreePoly.letter("z", 1)
 z2 = FreePoly.letter("z", 2)
 
 CLASSIC_SYSTEM = ProperAlgebraicSystem((x1, x2 + x1 * z2 * z1))
+
+
+def aux_system(p):
+    """The proper system x J^-1(z) that `invert` iterates for the map p."""
+    return auxiliary_inverse(p, jacobian_gate(p))
 
 
 def test_check_proper_examples():
@@ -110,6 +120,58 @@ def test_iterates_match_reference_composition(system, trunc):
     k_max = 5
     got = [(s.k, s.head, s.tail, s.floor, s.exact) for s in islice(iterates(system, trunc), k_max)]
     assert got == ref_iterates(system, trunc, k_max)
+
+
+def family(a, b):
+    return (x1, x2 - x1**a * x2 * x1**b)
+
+
+def sandwich():
+    x3 = FreePoly.letter("x", 3)
+    return (x1, x2, x3 - x1 * x3 * x1)
+
+
+def tame_maps(n):
+    rng = random.Random(8)
+    return [random_tame_pair(rng)[0] for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "maps, trunc, k_max",
+    [
+        ([NILPOTENT], 12, 10),
+        ([family(1, 1), family(2, 2)], 40, 12),
+        ([sandwich()], 24, 8),
+        (tame_maps(10), 8, 6),
+    ],
+    ids=["nilpotent", "family", "sandwich", "tame"],
+)
+def test_iterates_match_reference_on_auxiliary_systems(maps, trunc, k_max):
+    for p in maps:
+        system = aux_system(p)
+        got = [(s.k, s.head, s.tail, s.floor, s.exact) for s in islice(iterates(system, trunc), k_max)]
+        assert got == ref_iterates(system, trunc, k_max)
+
+
+@pytest.mark.parametrize(
+    "system, trunc, n",
+    [
+        (aux_system(NILPOTENT), 12, 10),
+        (CLASSIC_SYSTEM, 21, 10),
+        # x2^4 sits at or above the floor while later steps add z-free words
+        # of its length, so a step writes to a bucket an earlier tail holds
+        (ProperAlgebraicSystem((x1 + x2**4 + z1 * z1, x2)), 12, 6),
+    ],
+    ids=["nilpotent", "classic", "open-bucket"],
+)
+def test_splits_stay_valid_after_the_generator_moves_on(system, trunc, n):
+    # no head or tail is read before the generator has run n steps on
+    splits = list(islice(iterates(system, trunc), n))
+    for split in splits:
+        assert split == iterate_split(system, split.k, trunc)
+        assert split.head_terms == sum(map(len, split.head))
+        assert split.terms == sum(map(len, split.head + split.tail))
+        assert split.head_degree() == max((h.degree() for h in split.head), default=float("-inf"))
 
 
 def test_iterates_at_degree_zero():
