@@ -17,6 +17,11 @@ speaks tuples of letters: `FreePoly({word: c})`, `monomial`, `letter` and
 substitution images are keyed by letter tuples.  Everything inside the
 package that runs per term works on the encoded `_terms` directly.
 
+Substitution has one set-up, `SubstitutionImages` (encoded letters, each
+image's terms grouped by length, the lookahead flag), and one loop over the
+words of its input; `substitute_tracked` builds the set-up from a dict when
+it is given one.
+
 Each stored coefficient has its narrowest exact type (`scalars.exact`): an
 int, else a Fraction, else a GaussianRational.  The constructor narrows every
 coefficient it is given; the ring operations and substitution take sums and
@@ -400,13 +405,14 @@ def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=Non
     image exceeded `trunc` and was pruned.  Pruning partial products is sound
     because word lengths never shrink under concatenation.
 
-    Cost is per surviving partial product.  Under `default_identity` a word
-    with no bound letter (a letter with an image) is its own image, and all
-    such words are copied in one pass before any expansion; in a word with a
-    bound letter each run of unbound letters is appended as one slice.  Under
-    `trunc` each image's terms are grouped by length once per call (or once
-    for all calls, when `images` is a `SubstitutionImages`), so extending a
-    partial product stops at the first group that cannot fit.
+    Cost is per surviving partial product.  `images` is a dict letter ->
+    FreePoly or a `SubstitutionImages` built from one; a dict is set up as
+    one on each call, so a caller with many calls on the same images builds
+    it once.  Each image's terms are grouped by length, and extending a
+    partial product stops at the first group that cannot fit under `trunc`.
+    Under `default_identity` an unbound letter (one without an image) is its
+    own image: each run of unbound letters is appended as one slice, and a
+    word with no bound letter comes out as itself.
 
     Lookahead.  When every image is nonzero and constant-free, every letter
     still to come adds at least one letter, so a partial product of length L
@@ -422,35 +428,15 @@ def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=Non
     run is checked against `trunc` before the next image is expanded, so
     `dropped` is set even when that image is zero.
     """
-    if isinstance(images, SubstitutionImages):
-        groups, lookahead = images.groups, images.lookahead
-    elif trunc is None:
-        # nothing is pruned, so each image is one group
-        groups = {encode_letter(let): [(0, img._terms.items())] for let, img in images.items()}
-    else:
+    if not isinstance(images, SubstitutionImages):
         images = SubstitutionImages(images)
-        groups, lookahead = images.groups, images.lookahead
-    if trunc is None:
-        limit = POS_INF
-        lookahead = False
-    else:
-        limit = trunc
+    groups = images.groups
+    lookahead = trunc is not None and images.lookahead
+    limit = POS_INF if trunc is None else trunc
     bound = groups.keys()
     out = {}
     dropped = False
-    words = f._terms.items()
-    if default_identity:
-        unbound_word = bound.isdisjoint
-        bound_words = []
-        for w, coeff in words:
-            if not unbound_word(w):
-                bound_words.append((w, coeff))
-            elif len(w) > limit:
-                dropped = True
-            else:
-                out[w] = coeff
-        words = bound_words
-    for w, coeff in words:
+    for w, coeff in f._terms.items():
         n = len(w)
         look = lookahead and (default_identity or bound >= set(w))
         acc = {EMPTY_WORD: coeff}
@@ -554,7 +540,7 @@ def identity_map(g: int):
 
 def compose(p, q):
     """Componentwise composition p(q(x)); components of p must live over x1..len(q)."""
-    images = {("x", i + 1): qi for i, qi in enumerate(q)}
+    images = SubstitutionImages({("x", i + 1): qi for i, qi in enumerate(q)})
     return tuple(substitute(pi, images) for pi in p)
 
 

@@ -31,7 +31,6 @@ from .freealg import (
     compose,
     identity_map,
     map_degree,
-    substitute,
 )
 from .jacobian import (
     REASON_SINGULAR_CONSTANT,
@@ -65,15 +64,11 @@ def pmid_f(n: int) -> int:
     return value
 
 
-def pmid_scale(n: int) -> int:
-    return 3**n * pmid_f(n)
-
-
 def rigorous_cap(M) -> int:
     """Degree cap 3^n f(n) deg(M) past which a square polynomial matrix over
     either ring provably has no polynomial inverse."""
     deg = M.degree()
-    return pmid_scale(M.rows) * (0 if deg == NEG_INF else int(deg))
+    return pmid_bound(M.rows, 0 if deg == NEG_INF else int(deg)).bound
 
 
 def jacobian_gate(p0, max_terms=None):
@@ -163,11 +158,7 @@ def _restore_constant(q0, constants):
     """Turn an inverse of p - p(0) into an inverse of p via x -> x - p(0)."""
     if not any(constants):
         return q0
-    shift = {
-        ("x", i + 1): FreePoly.letter("x", i + 1) - FreePoly.scalar(c)
-        for i, c in enumerate(constants)
-    }
-    return tuple(substitute(comp, shift, default_identity=True) for comp in q0)
+    return compose(q0, tuple(x - c for x, c in zip(identity_map(len(constants)), constants)))
 
 
 def invert(p, cap: int | None = None, max_terms: int | None = None) -> InversionOutcome:

@@ -9,12 +9,13 @@ evaluate on native ints at integer points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import linalg
 from .bipartite import BipartiteMatrix, Hyporealization, hypomatrix_rep
 from .deriv import free_derivative
 from .freealg import ArityMismatch, FreePoly
-from .linalg import kron, unvec
+from .linalg import kron, unvec, vec
 from .scalars import GaussianRational, exact
 
 
@@ -69,15 +70,11 @@ class MatrixTuple:
         )
 
 
-def random_matrix(rng, n, bound=3):
-    return linalg.mat(
-        [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-    )
-
-
 def random_matrix_tuple(rng, g, n, bound=3) -> MatrixTuple:
     """Seeded tuple with small integer entries; the verification substrate."""
-    return MatrixTuple(n, tuple(random_matrix(rng, n, bound) for _ in range(g)))
+    entry = partial(rng.randint, -bound, bound)
+    mats = (linalg.mat([[entry() for _ in range(n)] for _ in range(n)]) for _ in range(g))
+    return MatrixTuple(n, tuple(mats))
 
 
 def random_invertible(rng, n, bound=2):
@@ -89,12 +86,6 @@ def random_invertible(rng, n, bound=2):
             lower[i][j] = GaussianRational(rng.randint(-bound, bound))
             upper[j][i] = GaussianRational(rng.randint(-bound, bound))
     return linalg.mul(tuple(tuple(r) for r in lower), tuple(tuple(r) for r in upper))
-
-
-def _env_of(X):
-    if isinstance(X, MatrixTuple):
-        return {"x": X}
-    return dict(X)
 
 
 def eval_word(word, env, n):
@@ -113,7 +104,7 @@ def eval_poly(f: FreePoly, X):
     X may be a MatrixTuple (x-letters only) or a dict kind -> MatrixTuple for
     mixed-alphabet polynomials.
     """
-    env = _env_of(X)
+    env = {"x": X} if isinstance(X, MatrixTuple) else dict(X)
     sizes = {tup.n for tup in env.values()}
     if len(sizes) > 1:
         raise SizeMismatch("mixed matrix sizes in evaluation environment")
@@ -126,11 +117,6 @@ def eval_poly(f: FreePoly, X):
 
 def eval_poly_map(p, X):
     return tuple(eval_poly(comp, X) for comp in p)
-
-
-def vec(a):
-    """Row-major flattening of an n x n matrix to a length-n^2 row."""
-    return linalg.vec(a)
 
 
 def eval_bipartite(b, Y: MatrixTuple):
@@ -212,36 +198,6 @@ def hyporational_eval(real: Hyporealization, X: MatrixTuple, component: int):
         raise UndefinedEvaluation("I - Phi evaluated singular at this tuple")
     seg = solution[component * n2 : (component + 1) * n2]
     return unvec(seg, n)
-
-
-def to_complex_matrix(a):
-    return [[complex(e) for e in row] for row in a]
-
-
-def eval_poly_float(f: FreePoly, X: MatrixTuple):
-    """Floating-point evaluation, a CLI convenience only.
-
-    Never used by the decision algorithm or by any verification: those run in
-    exact arithmetic without exception.
-    """
-    n = X.n
-    mats = [to_complex_matrix(m) for m in X.mats]
-    out = [[0j] * n for _ in range(n)]
-    for w, c in f.terms():
-        acc = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
-        for (kind, idx) in w:
-            if kind != "x" or idx > len(mats):
-                raise ArityMismatch(f"no matrix for letter {kind}{idx}")
-            m = mats[idx - 1]
-            acc = [
-                [sum(acc[i][k] * m[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        cc = complex(c)
-        for i in range(n):
-            for j in range(n):
-                out[i][j] += cc * acc[i][j]
-    return out
 
 
 def collision_check(p, X: MatrixTuple, X2: MatrixTuple) -> bool:

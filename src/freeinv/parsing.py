@@ -8,6 +8,12 @@ Example: ``x2 - x1*x2*x1``.
 Bipartite terms separate the two sides with a literal ``(x)``:
 ``1 (x) 1 - y2*y1 (x) 1``.
 
+Both rings share one grammar and one renderer: `_parse_sum` reads the signed
+sum and `_term_prefix` the coefficient and word that open every term, so
+`parse_poly` and `parse_bipartite` differ only in what follows that prefix;
+`_format_sum` writes signs, parentheses and unit coefficients for
+`format_poly` and `format_bipartite` alike.
+
 Matrix tuples are JSON arrays of matrices, each a row-major array of rows of
 rational strings ("a/b" or "a/b+c/di").
 """
@@ -39,15 +45,18 @@ _TOKEN = re.compile(
 )
 
 
+def _position(text, offset):
+    """1-based (line, col) of a character offset into text."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 def _tokenize(text):
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            line = text.count("\n", 0, pos) + 1
-            col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+            raise ParseError(f"unexpected character {text[pos]!r}", *_position(text, pos))
         if m.lastgroup is not None:
             tokens.append((m.lastgroup, m.group(), m.start()))
         pos = m.end()
@@ -68,11 +77,8 @@ class _Cursor:
         self.pos += 1
         return tok
 
-    def error(self, message, at=None):
-        offset = self.peek()[2] if at is None else at
-        line = self.text.count("\n", 0, offset) + 1
-        col = offset - (self.text.rfind("\n", 0, offset) + 1) + 1
-        raise ParseError(message, line, col)
+    def error(self, message):
+        raise ParseError(message, *_position(self.text, self.peek()[2]))
 
 
 def _parse_simple_scalar(cur, *, allow_sign=False):
@@ -107,18 +113,24 @@ def _parse_simple_scalar(cur, *, allow_sign=False):
     return GaussianRational(sign * num)
 
 
+def _scalar_sum(cur):
+    """Signed simple scalars joined by + / -, summed: a matrix entry, or the
+    inside of a parenthesised coefficient such as `(1+2i)`."""
+    total = _parse_simple_scalar(cur, allow_sign=True)
+    kind, val, _ = cur.peek()
+    while kind == "op" and val in "+-":
+        total = total + _parse_simple_scalar(cur, allow_sign=True)
+        kind, val, _ = cur.peek()
+    return total
+
+
 def _parse_coefficient(cur):
     """Leading coefficient of a term, or None when the term starts with a letter."""
     kind, val, _ = cur.peek()
     if kind == "op" and val == "(":
         cur.next()
-        first = _parse_simple_scalar(cur, allow_sign=True)
-        total = first
+        total = _scalar_sum(cur)
         kind, val, _ = cur.peek()
-        while kind == "op" and val in "+-":
-            nxt = _parse_simple_scalar(cur, allow_sign=True)
-            total = total + nxt
-            kind, val, _ = cur.peek()
         if not (kind == "op" and val == ")"):
             cur.error("expected ')'")
         cur.next()
@@ -160,66 +172,89 @@ def _parse_word_factors(cur):
     return tuple(word)
 
 
-def _parse_term(cur):
+def _term_prefix(cur):
+    """The start of a term in either ring: a coefficient (None when absent),
+    an optional `*` after it, and a word (possibly empty)."""
     coeff = _parse_coefficient(cur)
     kind, val, _ = cur.peek()
-    explicit_star = kind == "op" and val == "*"
-    if coeff is not None and explicit_star:
+    if coeff is not None and kind == "op" and val == "*":
         cur.next()
-    word = _parse_word_factors(cur)
-    if coeff is None and not word:
-        cur.error("expected a term")
-    if coeff is None:
-        coeff = 1
-    return word, coeff
+    return coeff, _parse_word_factors(cur)
 
 
-def parse_poly(text: str) -> FreePoly:
+def _parse_sum(text, term):
+    """Terms joined by + / -, with an optional leading sign; `term(cur)`
+    reads one term as (key, coefficient).  Returns key -> summed coefficient."""
     cur = _Cursor(text)
     terms = {}
     sign = 1
     kind, val, _ = cur.peek()
-    if kind == "op" and val in "+-":
-        cur.next()
-        sign = -1 if val == "-" else 1
     while True:
-        word, coeff = _parse_term(cur)
-        coeff = coeff * sign
-        prev = terms.get(word)
-        terms[word] = coeff if prev is None else prev + coeff
-        kind, val, _ = cur.peek()
-        if kind is None:
-            break
         if kind == "op" and val in "+-":
             cur.next()
             sign = -1 if val == "-" else 1
-            continue
-        cur.error(f"unexpected token {val!r}")
-    return FreePoly(terms)
+        key, coeff = term(cur)
+        coeff = coeff * sign
+        prev = terms.get(key)
+        terms[key] = coeff if prev is None else prev + coeff
+        kind, val, _ = cur.peek()
+        if kind is None:
+            return terms
+        if not (kind == "op" and val in "+-"):
+            cur.error(f"unexpected token {val!r}")
 
 
-def format_poly(f: FreePoly) -> str:
-    if not f:
-        return "0"
+def _free_term(cur):
+    coeff, word = _term_prefix(cur)
+    if coeff is None and not word:
+        cur.error("expected a term")
+    return word, 1 if coeff is None else coeff
+
+
+def _bipartite_term(cur):
+    coeff, left = _term_prefix(cur)
+    kind, val, _ = cur.peek()
+    if not (kind == "op" and val == "(x)"):
+        if coeff is None and not left:
+            cur.error("expected a bipartite term")
+        cur.error("expected '(x)' between the two sides")
+    cur.next()
+    kind, val, _ = cur.peek()
+    if kind == "number" and val == "1":
+        cur.next()
+        right = ()
+    else:
+        right = _parse_word_factors(cur)
+    return (left, right), 1 if coeff is None else coeff
+
+
+def _format_sum(terms) -> str:
+    """Render (body, coefficient) pairs, in the order given, as a signed sum.
+    A body of None is the constant term; a unit coefficient is left out
+    before a body, and a coefficient with both parts set is parenthesised."""
     parts = []
-    for w, c in f.sorted_terms():
-        body = word_str(w)
+    for body, c in terms:
         if scalar_needs_parens(c):
-            piece, sign = f"({format_scalar(c)})" + ("" if not w else f"*{body}"), "+"
+            sign, coeff = "+", f"({format_scalar(c)})"
         else:
             neg = (c.real or c.imag) < 0
             mag = -c if neg else c
             sign = "-" if neg else "+"
-            if mag == 1 and w:
-                piece = body
-            else:
-                coeff_str = format_scalar(mag)
-                piece = coeff_str if not w else f"{coeff_str}*{body}"
+            coeff = None if mag == 1 and body is not None else format_scalar(mag)
+        piece = body if coeff is None else coeff if body is None else f"{coeff}*{body}"
         if not parts:
             parts.append(piece if sign == "+" else f"-{piece}")
         else:
             parts.append(f" {sign} {piece}")
-    return "".join(parts)
+    return "".join(parts) or "0"
+
+
+def parse_poly(text: str) -> FreePoly:
+    return FreePoly(_parse_sum(text, _free_term))
+
+
+def format_poly(f: FreePoly) -> str:
+    return _format_sum((word_str(w) if w else None, c) for w, c in f.sorted_terms())
 
 
 def parse_poly_map(strings):
@@ -237,69 +272,14 @@ def parse_bipartite(text: str):
     """Parse sums of `u (x) v` terms into a BipartitePoly."""
     from .bipartite import BipartitePoly
 
-    cur = _Cursor(text)
-    terms = {}
-    sign = 1
-    kind, val, _ = cur.peek()
-    if kind == "op" and val in "+-":
-        cur.next()
-        sign = -1 if val == "-" else 1
-    while True:
-        coeff = _parse_coefficient(cur)
-        kind, val, _ = cur.peek()
-        if coeff is not None and kind == "op" and val == "*":
-            cur.next()
-        left = _parse_word_factors(cur)
-        kind, val, _ = cur.peek()
-        if coeff is None and not left and not (kind == "op" and val == "(x)"):
-            cur.error("expected a bipartite term")
-        if not (kind == "op" and val == "(x)"):
-            cur.error("expected '(x)' between the two sides")
-        cur.next()
-        kind, val, _ = cur.peek()
-        if kind == "number" and val == "1":
-            cur.next()
-            right = ()
-        else:
-            right = _parse_word_factors(cur)
-        if coeff is None:
-            coeff = 1
-        coeff = coeff * sign
-        key = (left, right)
-        prev = terms.get(key)
-        terms[key] = coeff if prev is None else prev + coeff
-        kind, val, _ = cur.peek()
-        if kind is None:
-            break
-        if kind == "op" and val in "+-":
-            cur.next()
-            sign = -1 if val == "-" else 1
-            continue
-        cur.error(f"unexpected token {val!r}")
-    return BipartitePoly(terms)
+    return BipartitePoly(_parse_sum(text, _bipartite_term))
 
 
 def format_bipartite(b) -> str:
-    if not b:
-        return "0"
-    parts = []
     ordered = sorted(
         b.terms(), key=lambda t: (len(t[0][0]) + len(t[0][1]), word_key(t[0][0]), word_key(t[0][1]))
     )
-    for (u, v), c in ordered:
-        body = f"{word_str(u)} (x) {word_str(v)}"
-        if scalar_needs_parens(c):
-            piece, sign = f"({format_scalar(c)})*{body}", "+"
-        else:
-            neg = (c.real or c.imag) < 0
-            mag = -c if neg else c
-            sign = "-" if neg else "+"
-            piece = body if mag == 1 else f"{format_scalar(mag)}*{body}"
-        if not parts:
-            parts.append(piece if sign == "+" else f"-{piece}")
-        else:
-            parts.append(f" {sign} {piece}")
-    return "".join(parts)
+    return _format_sum((f"{word_str(u)} (x) {word_str(v)}", c) for (u, v), c in ordered)
 
 
 # -- exact scalars and matrix tuples ----------------------------------------
@@ -307,11 +287,8 @@ def format_bipartite(b) -> str:
 
 def parse_scalar(text: str) -> GaussianRational:
     cur = _Cursor(text)
-    total = _parse_simple_scalar(cur, allow_sign=True)
+    total = _scalar_sum(cur)
     kind, val, _ = cur.peek()
-    while kind == "op" and val in "+-":
-        total = total + _parse_simple_scalar(cur, allow_sign=True)
-        kind, val, _ = cur.peek()
     if kind is not None:
         cur.error(f"unexpected token {val!r}")
     # a sum narrows to a real; matrix entries stay GaussianRational
@@ -343,8 +320,7 @@ def parse_matrix_tuple(text: str):
 
 
 def format_matrix_tuple(X) -> str:
-    data = [[[format_scalar(entry) for entry in row] for row in mat] for mat in X.mats]
-    return json.dumps(data)
+    return json.dumps([format_matrix(mat) for mat in X.mats])
 
 
 def format_matrix(mat) -> list:

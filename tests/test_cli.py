@@ -290,3 +290,59 @@ def test_module_entry_point_exit_codes(tmp_path):
     )
     assert defect.returncode == 4
     assert "Traceback" in defect.stderr and "RuntimeError: internal defect" in defect.stderr
+
+
+POINT = '[[["1","2"],["3","4"]],[["0","1"],["1","0"]]]'
+
+
+def test_eval_float_at_an_integer_point(capsys):
+    code, out, _ = run_cli(capsys, "eval", "-g", "2", "x1*x2 - x2", "3*x1^2 + i", "--float", "--at", POINT)
+    assert code == 0
+    assert out == '[["2.0", "0.0"], ["3.0", "3.0"]]\n[["(21+1j)", "30.0"], ["45.0", "(66+1j)"]]\n'
+    code, out, _ = run_cli(capsys, "eval", "-g", "2", "x1*x2 - x2", "--float", "--json", "--at", POINT)
+    assert code == 0
+    assert json.loads(out) == {"values": [[["2.0", "0.0"], ["3.0", "3.0"]]]}
+
+
+def test_eval_float_rounds_the_exact_value(capsys):
+    # x1^2 + x1*x2 at these thirds and sevenths is [[52/147, 86/315], [1/7, 10/9]]
+    point = '[[["1/3","1/7"],["0","1"]],[["2/3","1/5"],["1/7","1/9"]]]'
+    code, out, _ = run_cli(capsys, "eval", "-g", "2", "x1^2 + x1*x2", "i*x1", "--float", "--at", point)
+    assert code == 0
+    first, second = map(json.loads, out.splitlines())
+    assert first == [[repr(52 / 147), repr(86 / 315)], [repr(1 / 7), repr(10 / 9)]]
+    assert second == [[repr(1j / 3), repr(1j / 7)], ["0.0", "1j"]]
+
+
+def test_eval_float_keeps_a_tiny_imaginary_part(capsys):
+    code, out, _ = run_cli(capsys, "eval", "-g", "1", "x1", "--at", '[[["1+1/10000000000000i"]]]', "--float")
+    assert code == 0
+    assert json.loads(out) == [["(1+1e-13j)"]]
+
+
+def test_verify_float_on_a_true_pair(capsys):
+    pairs = [
+        ("--p", "x1", "x2 + x1^2", "--q", "x1", "x2 - x1^2"),
+        # thirds are not floats: only an exact evaluation gives residual 0.0
+        ("--p", "x1 + 1/3*x2^2", "x2", "--q", "x1 - 1/3*x2^2", "x2"),
+    ]
+    for seed in ("0", "5"):
+        for pair in pairs:
+            code, out, _ = run_cli(capsys, "verify", "-g", "2", "--float", "--json", "--seed", seed, *pair)
+            assert code == 0
+            assert json.loads(out) == {"inverse_pair": True, "sampled_residual": 0.0}
+
+
+def test_verify_float_on_a_false_pair(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "-g", "2", "--float", "--seed", "3",
+        "--p", "x1", "x2 + x1^2", "--q", "x1", "x2 + x1^2",
+    )
+    assert code == 1
+    assert out == "inverse pair (sampled, tol 1e-9): False\n"
+    code, out, _ = run_cli(
+        capsys, "verify", "-g", "2", "--float", "--json", "--seed", "3",
+        "--p", "x1", "x2 + x1^2", "--q", "x1", "x2 + x1^2",
+    )
+    assert code == 1
+    assert json.loads(out) == {"inverse_pair": False, "sampled_residual": 10.0}

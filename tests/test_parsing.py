@@ -85,3 +85,64 @@ def test_scalar_forms():
     assert parse_scalar("-1/2").re == parse_scalar("1/2").re * -1
     assert parse_scalar("i").im == 1
     assert parse_scalar("1-2i").im == -2
+
+
+def parse_error(parse, text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return str(err.value)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_poly, "", "expected a term (line 1, col 1)"),
+        (parse_poly, "x1 +", "expected a term (line 1, col 5)"),
+        (parse_poly, "x1 + + x2", "expected a term (line 1, col 6)"),
+        (parse_poly, "-", "expected a term (line 1, col 2)"),
+        (parse_poly, "(1+2i x1", "expected ')' (line 1, col 7)"),
+        (parse_poly, "x1 x2", "unexpected token 'x2' (line 1, col 4)"),
+        (parse_poly, "x1\n + 2 )", "unexpected token ')' (line 2, col 6)"),
+        (parse_poly, "x1 (x) x2", "unexpected token '(x)' (line 1, col 4)"),
+        (parse_bipartite, "", "expected a bipartite term (line 1, col 1)"),
+        (parse_bipartite, "1 (x) 1 - ", "expected a bipartite term (line 1, col 11)"),
+        (parse_bipartite, "+ * y1", "expected a bipartite term (line 1, col 3)"),
+        (parse_bipartite, "y1 x1", "expected '(x)' between the two sides (line 1, col 4)"),
+        (parse_bipartite, "2", "expected '(x)' between the two sides (line 1, col 2)"),
+        (parse_bipartite, "(1+i (x) 1", "expected ')' (line 1, col 6)"),
+        (parse_bipartite, "y1 (x) 1 x1", "unexpected token 'x1' (line 1, col 10)"),
+        (parse_bipartite, "y1 (x) y2 (x) 1", "unexpected token '(x)' (line 1, col 11)"),
+        (parse_scalar, "1 2", "unexpected token '2' (line 1, col 3)"),
+        (parse_scalar, "1 + x1", "expected a number (line 1, col 5)"),
+    ],
+)
+def test_parse_error_messages_and_columns(parse, text, message):
+    assert parse_error(parse, text) == message
+
+
+def test_leading_sign_in_both_rings():
+    y1 = (("y", 1),)
+    assert parse_poly("-x1 + x2") == x2 - x1
+    assert parse_poly("+x1 - 2") == x1 - 2
+    assert parse_poly("- 1/2*x1") == x1 * parse_scalar("-1/2")
+    assert parse_poly("-(1+2i)*x1") == x1 * parse_scalar("-1-2i")
+    assert parse_bipartite("-1 (x) y1") == BipartitePoly({((), y1): -1})
+    assert parse_bipartite("+ y1 (x) 1") == BipartitePoly({(y1, ()): 1})
+    assert parse_bipartite("-3*y1 (x) y1 + y1 (x) y1") == BipartitePoly({(y1, y1): -2})
+
+
+def test_format_sign_parentheses_and_unit_coefficients_in_both_rings():
+    y1, y2 = (("y", 1),), (("y", 2),)
+    c = parse_scalar("1+2i")
+    f = FreePoly({(): -1, (("x", 1),): 1, (("x", 2),): -1, (("x", 1), ("x", 2)): c}) + 2 * x2 * x2
+    assert format_poly(f) == "-1 + x1 - x2 + (1+2i)*x1*x2 + 2*x2^2"
+    assert format_poly(FreePoly.scalar(c)) == "(1+2i)"
+    assert format_poly(FreePoly.scalar(parse_scalar("-i"))) == "-i"
+    assert format_poly(x1 * parse_scalar("-1/2")) == "-1/2*x1"
+    assert format_poly(FreePoly.zero()) == "0"
+    b = BipartitePoly({((), ()): c, (y1, ()): -1, ((), y2): parse_scalar("-3/4"), (y1, y2): 1})
+    assert format_bipartite(b) == "(1+2i)*1 (x) 1 - 3/4*1 (x) y2 - y1 (x) 1 + y1 (x) y2"
+    assert format_bipartite(BipartitePoly({(y1, y2): parse_scalar("-i")})) == "-i*y1 (x) y2"
+    assert format_bipartite(BipartitePoly.zero()) == "0"
+    for g in (f, FreePoly.scalar(c), x1 * parse_scalar("-1/2")):
+        assert parse_poly(format_poly(g)) == g
