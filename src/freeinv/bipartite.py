@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .deriv import free_derivative
-from .freealg import FreePoly, Poly, check_alphabet, decode, encode, encode_letter, swap_kinds
+from .freealg import FreePoly, Poly, check_alphabet, decode, encode, encode_letter
 from .jacobian import REASON_TERM_BUDGET, Matrix, poly_matrix_inverse
 from .inverter import check_limits, rigorous_cap
 
@@ -31,10 +31,23 @@ class BipartitePoly(Poly):
 
     __slots__ = ()
     _ONE_KEY = ("", "")
-    _concat = staticmethod(lambda k1, k2: (k1[0] + k2[0], k1[1] + k2[1]))
     _key_degree = staticmethod(lambda k: len(k[0]) + len(k[1]))
     _norm_key = staticmethod(lambda k: (encode(k[0]), encode(k[1])))
     _decode_key = staticmethod(lambda k: (decode(k[0]), decode(k[1])))
+
+    @staticmethod
+    def _mac(out, a, b):
+        get, b = out.get, b.items()
+        for (u1, v1), c1 in a.items():
+            for (u2, v2), c2 in b:
+                k = (u1 + u2, v1 + v2)
+                prev = get(k)
+                if prev is None:
+                    out[k] = c1 * c2
+                elif s := prev + c1 * c2:
+                    out[k] = s
+                else:
+                    del out[k]
 
     @classmethod
     def tensor(cls, left: FreePoly, right: FreePoly):
@@ -80,14 +93,21 @@ def hypo_jacobian(p) -> BipartiteMatrix:
     g = len(p)
     check_alphabet(p, g, kinds=("x",))
     grid = [[{} for _ in range(g)] for _ in range(g)]
-    row_of = {encode_letter(("x", j + 1)): j for j in range(g)}
+    xs = "".join(encode_letter(("x", j + 1)) for j in range(g))
+    ys = "".join(encode_letter(("y", j + 1)) for j in range(g))
+    # the derivative's words carry base letters x and one direction letter y;
+    # in the matrix the base letters become y and the direction x
+    swap = str.maketrans(xs + ys, ys + xs)
     for i, comp in enumerate(p):
-        d = swap_kinds(free_derivative(comp), "x", "y")
-        for w, c in d._terms.items():
+        for w, c in free_derivative(comp)._terms.items():
+            w = w.translate(swap)
             # the word's one x-letter x_j; the word and j fix the key, so no
             # two words share a cell key
-            pos = next(pos for pos, ch in enumerate(w) if ch in row_of)
-            grid[row_of[w[pos]]][i][(w[:pos][::-1], w[pos + 1 :])] = c
+            for j, x in enumerate(xs):
+                pos = w.find(x)
+                if pos >= 0:
+                    break
+            grid[j][i][(w[:pos][::-1], w[pos + 1 :])] = c
     return BipartiteMatrix([[BipartitePoly._raw(cell) for cell in row] for row in grid])
 
 

@@ -36,7 +36,6 @@ letter by letter with kinds ranked x < y < z < w < h < k.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 from .scalars import exact
@@ -149,8 +148,10 @@ class Poly:
     """A finite key -> nonzero exact coefficient map over a graded key monoid.
 
     Subclasses fix the key algebra through hooks: `_ONE_KEY` (the identity
-    key), `_concat` (key product), `_key_degree` (graded degree of a key),
-    `_norm_key` (the stored form of a key given to the constructor) and
+    key), `_mac` (the multiply-accumulate kernel: `_mac(out, a, b)` adds the
+    product of the term dicts `a` and `b` into the term dict `out`, key
+    product inlined, zero sums dropped), `_key_degree` (graded degree of a
+    key), `_norm_key` (the stored form of a key given to the constructor) and
     `_decode_key` (its public form, as `terms()` returns it).  Everything
     else -- normalisation, constructors, equality, ring arithmetic and graded
     queries -- is shared.
@@ -282,21 +283,8 @@ class Poly:
             if not g:
                 return self.zero()
             return self._raw(_settled({k: c * g for k, c in self._terms.items()}))
-        concat = self._concat
         out = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                k = concat(k1, k2)
-                c = c1 * c2
-                prev = out.get(k)
-                if prev is None:
-                    out[k] = c
-                else:
-                    s = prev + c
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
+        self._mac(out, self._terms, other._terms)
         return self._raw(_settled(out))
 
     def __rmul__(self, other):
@@ -322,10 +310,23 @@ class FreePoly(Poly):
 
     __slots__ = ()
     _ONE_KEY = EMPTY_WORD
-    _concat = staticmethod(operator.add)
     _key_degree = staticmethod(len)
     _norm_key = staticmethod(encode)
     _decode_key = staticmethod(decode)
+
+    @staticmethod
+    def _mac(out, a, b):
+        get, b = out.get, b.items()
+        for k1, c1 in a.items():
+            for k2, c2 in b:
+                k = k1 + k2
+                prev = get(k)
+                if prev is None:
+                    out[k] = c1 * c2
+                elif s := prev + c1 * c2:
+                    out[k] = s
+                else:
+                    del out[k]
 
     @classmethod
     def letter(cls, kind: str, index: int):

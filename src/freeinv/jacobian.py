@@ -8,9 +8,10 @@ x_{s+1}, with that first letter removed.
 polynomials) and the bipartite matrices of `freeinv.bipartite` only name
 their entry ring, and both inverses run through the one series engine.
 
-That engine computes the layers of the formal inverse with sparse rows, so
-its cost is proportional to the nonzero entries and terms it produces, and
-it merges each layer into the total once.  A nonzero layer above the cap
+That engine computes the layers of the formal inverse with sparse rows of
+raw term dicts, accumulated through the entry ring's kernel `Poly._mac` and
+settled (narrowed) once per layer, so its cost is proportional to the
+nonzero entries and terms it produces.  A nonzero layer above the cap
 certifies that no inverse of degree <= cap exists: the formal inverse of a
 matrix with invertible constant part is unique and two-sided, so any
 polynomial inverse would be it.  Every positive answer is still checked by
@@ -27,6 +28,7 @@ from . import linalg
 from .freealg import (
     NEG_INF,
     FreePoly,
+    _settled,
     check_alphabet,
     decode_letter,
     rename_letters,
@@ -106,11 +108,14 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        zero = self.ring.zero()
+        mac, raw = self.ring._mac, self.ring._raw
         cols = tuple(zip(*other.entries))
-        return type(self)(
-            [[sum((a * b for a, b in zip(row, col)), zero) for col in cols] for row in self.entries]
-        )
+        out = [[{} for _ in cols] for _ in self.entries]
+        for row, out_row in zip(self.entries, out):
+            for col, terms in zip(cols, out_row):
+                for a, b in zip(row, col):
+                    mac(terms, a._terms, b._terms)
+        return type(self)([[raw(_settled(t)) for t in row] for row in out])
 
     def constant_part(self):
         return tuple(tuple(e.constant_term() for e in row) for row in self.entries)
@@ -187,36 +192,43 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
       it only says none up to the cap.
     - `max_terms` bounds the terms of the layers of degree <= `degree_cap`.
 
-    Cost is per nonzero entry.  A layer is a list of rows {column: nonzero
-    entry}, N is kept as (row, column, entry) triples of its nonzero
-    homogeneous parts, M0^-1 is applied through its nonzero scalars, and only
-    the last e layers are kept.  Layers have distinct degrees, so their keys
-    are disjoint: each entry is merged into the total's term dicts once, and
-    the total's polynomials are built once at the end.
+    Cost is per term product.  A layer is a list of rows {column: term
+    dict}.  N is split by degree in one pass over its terms and multiplied by
+    M0^-1 once, A_d = M0^-1 N_d, so that R_m = A_1 R_{m-1} + ... + A_e R_{m-e}
+    is one `_mac` pass into raw dicts, settled once; only the last e layers
+    are kept.  Layers have distinct degrees, so their keys are disjoint: each
+    entry is merged into the total's term dicts once, and the total's
+    polynomials are built at the end.
     """
     if M.rows != M.cols:
         raise ValueError("only square matrices can be inverted")
     if degree_cap < 0:
         raise ValueError("degree_cap must be >= 0")
-    cls = type(M)
+    cls, ring = type(M), M.ring
+    mac, one, key_degree = ring._mac, ring._ONE_KEY, ring._key_degree
     n = M.rows
-    m0 = M.constant_part()
-    m0_inv = linalg.inverse(m0)
+    m0_inv = linalg.inverse(M.constant_part())
     if m0_inv is None:
         return NotPolyInvertible(REASON_SINGULAR_CONSTANT, degree_cap)
-    N = cls.from_scalars(m0) - M
-    deg_n = N.degree()
-    if deg_n == NEG_INF:
+    # N = M0 - M by degree: parts[d][(i, k)] is the term dict of N_d[i][k]
+    parts = {}
+    for i, row in enumerate(M.entries):
+        for k, e in enumerate(row):
+            for key, c in e._terms.items():
+                if key != one:
+                    parts.setdefault(key_degree(key), {}).setdefault((i, k), {})[key] = -c
+    if not parts:
         return cls.from_scalars(m0_inv)
-    deg_n = int(deg_n)
-    n_parts = []
-    for d in range(1, deg_n + 1):
-        triples = [(i, k, part) for i, row in enumerate(N.entries) for k, e in enumerate(row)
-                   if (part := e.homogeneous_part(d))]
-        if triples:
-            n_parts.append((d, triples))
-    inv_rows = [[(l, c) for l, c in enumerate(row) if c] for row in m0_inv]
-    layer = [{j: cls.ring.scalar(c) for j, c in enumerate(row) if c} for row in m0_inv]
+    deg_n = max(parts)
+    a_parts = []  # (d, (row, column, term dict) triples of A_d = M0^-1 N_d)
+    for d in sorted(parts):
+        cells = {}
+        for (l, k), t in parts[d].items():
+            for i, inv_row in enumerate(m0_inv):
+                if inv_row[l]:
+                    mac(cells.setdefault((i, k), {}), {one: inv_row[l]}, t)
+        a_parts.append((d, [(i, k, _settled(t)) for (i, k), t in sorted(cells.items()) if t]))
+    layer = [{j: {one: c} for j, c in enumerate(row) if c} for row in m0_inv]
     # window[-d] is the layer d degrees below the next one; the shared empty
     # rows stand for the zero layers below degree 0 and are never written
     window = deque([[{}] * n] * (deg_n - 1) + [layer], maxlen=deg_n)
@@ -225,18 +237,13 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
     zero_run = 0
     for m in range(1, degree_cap + deg_n + 1):
         acc = [{} for _ in range(n)]
-        for d, triples in n_parts:
+        for d, triples in a_parts:
             below = window[-d]
             for i, k, e in triples:
+                acc_row = acc[i]
                 for j, r in below[k].items():
-                    _accumulate(acc[i], j, e * r)
-        layer = []
-        for inv_row in inv_rows:
-            out = {}
-            for l, c in inv_row:
-                for j, a in acc[l].items():
-                    _accumulate(out, j, a if c == 1 else a * c)
-            layer.append({j: e for j, e in out.items() if e})
+                    mac(acc_row.setdefault(j, {}), e, r)
+        layer = [{j: _settled(t) for j, t in row.items() if t} for row in acc]
         window.append(layer)
         if not any(layer):
             zero_run += 1
@@ -249,26 +256,21 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
         terms += _merge(total, layer)
         if max_terms is not None and terms > max_terms:
             return NotPolyInvertible(REASON_TERM_BUDGET, degree_cap)
-    R = cls([[cls.ring._raw(t) for t in row] for row in total])
+    R = cls([[ring._raw(t) for t in row] for row in total])
     ident = cls.identity(n)
     if M * R == ident and R * M == ident:
         return R
     return NotPolyInvertible(REASON_NO_INVERSE_UP_TO_CAP, degree_cap)
 
 
-def _accumulate(row, j, p):
-    prev = row.get(j)
-    row[j] = p if prev is None else prev + p
-
-
 def _merge(total, layer):
-    """Add a layer's entries to the total's term dicts; returns their term count."""
+    """Add a layer's term dicts to the total's; returns their term count."""
     count = 0
     for total_row, row in zip(total, layer):
-        for j, e in row.items():
+        for j, t in row.items():
             # a dict-to-dict update reuses the stored key hashes
-            total_row[j].update(e._terms)
-            count += len(e)
+            total_row[j].update(t)
+            count += len(t)
     return count
 
 

@@ -4,17 +4,21 @@ Matrices are immutable tuples of row tuples of exact scalars.  `mat` and
 `identity` build them from GaussianRational values; `zeros`, `scale`, `mul`
 and `inverse` produce entries in their narrowest exact type
 (`scalars.exact`), so products of integer matrices run on native ints.  No
-floating point anywhere; singularity is decided exactly by Gauss-Jordan
-elimination.
+floating point anywhere.  `inverse` and `solve` run one fraction-free
+(Bareiss) Gauss-Jordan elimination for every entry type: every entry stays a
+minor of the input, so integer matrices run on native ints, and the left
+block ends as d * I, with d the last pivot, +-det a; the right block is then
+divided by d once per entry.
 """
 
 from __future__ import annotations
 
+import operator
+from fractions import Fraction
+
 from .scalars import GaussianRational, as_gaussian, exact
 
 _ZERO = GaussianRational(0)
-# the reciprocal's numerator: GaussianRational division stays exact and
-# narrows its result, where int / int would give a float
 _ONE = GaussianRational(1)
 
 
@@ -90,27 +94,31 @@ def direct_sum(a, b):
 
 
 def _eliminate(a, rhs):
-    """Gauss-Jordan on [a | rhs]; returns reduced rhs or None when a is singular."""
+    """Fraction-free Gauss-Jordan on [a | rhs]; returns a^-1 rhs, or None
+    when a is singular."""
     n = len(a)
     work = [list(row) + list(rrow) for row, rrow in zip(a, rhs)]
-    width = len(work[0]) if work else 0
+    if all(type(e) is int for row in work for e in row):
+        # every entry stays a minor of [a | rhs], so the divisions are exact
+        div, quotient = operator.floordiv, Fraction
+    else:
+        # GaussianRational division is exact and narrows, for any exact operands
+        div = quotient = lambda x, y: x / as_gaussian(y)
+    last = 1
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if work[r][col]:
-                pivot = r
-                break
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
         if pivot is None:
             return None
         work[col], work[pivot] = work[pivot], work[col]
-        inv = _ONE / work[col][col]
-        work[col] = [e * inv for e in work[col]]
+        prow = work[col]
+        piv = prow[col]
         for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [e - factor * p for e, p in zip(work[r], work[col])]
-    # Fractions may reduce to integers on the way
-    return tuple(tuple(map(exact, row[n:width])) for row in work)
+            if r != col:
+                f = work[r][col]
+                work[r] = [div(piv * e - f * p, last) for e, p in zip(work[r], prow)]
+        last = piv
+    # the left block is now last * I
+    return tuple(tuple(exact(quotient(e, last)) for e in row[n:]) for row in work)
 
 
 def inverse(a):

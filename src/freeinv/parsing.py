@@ -6,7 +6,9 @@ Polynomial grammar: terms joined by + / -; a term is an optional coefficient
 Example: ``x2 - x1*x2*x1``.
 
 Bipartite terms separate the two sides with a literal ``(x)``:
-``1 (x) 1 - y2*y1 (x) 1``.
+``1 (x) 1 - y2*y1 (x) 1``.  As the renderer writes them, ``1`` after a
+coefficient and ``*`` is the empty word (``2*1 (x) y1``) and ``0`` is the zero
+polynomial.
 
 Both rings share one grammar and one renderer: `_parse_sum` reads the signed
 sum and `_term_prefix` the coefficient and word that open every term, so
@@ -174,11 +176,14 @@ def _parse_word_factors(cur):
 
 def _term_prefix(cur):
     """The start of a term in either ring: a coefficient (None when absent),
-    an optional `*` after it, and a word (possibly empty)."""
+    an optional `*` after it, and a word (possibly empty, or `1` after `*`)."""
     coeff = _parse_coefficient(cur)
     kind, val, _ = cur.peek()
     if coeff is not None and kind == "op" and val == "*":
         cur.next()
+        if cur.peek()[:2] == ("number", "1"):
+            cur.next()
+            return coeff, ()
     return coeff, _parse_word_factors(cur)
 
 
@@ -217,6 +222,9 @@ def _bipartite_term(cur):
     if not (kind == "op" and val == "(x)"):
         if coeff is None and not left:
             cur.error("expected a bipartite term")
+        if coeff == 0 and not left:
+            # the zero polynomial, as `format_bipartite` writes it
+            return ((), ()), coeff
         cur.error("expected '(x)' between the two sides")
     cur.next()
     kind, val, _ = cur.peek()

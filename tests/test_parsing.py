@@ -1,10 +1,14 @@
 """Grammar round trips and parse errors."""
 
+from fractions import Fraction
+
+import hypothesis.strategies as st
 import pytest
 
 from freeinv import (
     BipartitePoly,
     FreePoly,
+    GaussianRational,
     ParseError,
     format_bipartite,
     format_poly,
@@ -15,7 +19,7 @@ from freeinv import (
 from freeinv.parsing import format_matrix_tuple, parse_scalar
 
 import strategies as S
-from hypothesis import given
+from hypothesis import example, given
 
 x1 = FreePoly.letter("x", 1)
 x2 = FreePoly.letter("x", 2)
@@ -146,3 +150,38 @@ def test_format_sign_parentheses_and_unit_coefficients_in_both_rings():
     assert format_bipartite(BipartitePoly.zero()) == "0"
     for g in (f, FreePoly.scalar(c), x1 * parse_scalar("-1/2")):
         assert parse_poly(format_poly(g)) == g
+
+
+# -- round trips in both rings, every coefficient type -------------------------------
+
+# non-unit, Fraction and Gaussian coefficients, units included
+all_coefficients = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 2), -2]),
+).filter(bool)
+sides = S.words(kinds="xy", max_index=3, max_len=3)  # the empty word included
+Y1 = (("y", 1),)
+
+
+@given(st.dictionaries(S.words(kinds="xyz", max_index=3, max_len=3), all_coefficients, max_size=4).map(FreePoly))
+def test_poly_round_trip_every_coefficient_type(f):
+    assert parse_poly(format_poly(f)) == f
+
+
+@given(st.dictionaries(st.tuples(sides, sides), all_coefficients, max_size=4).map(BipartitePoly))
+@example(BipartitePoly({((), ()): GaussianRational(1, 2), ((), Y1): 2, (Y1, ()): Fraction(-1, 3)}))
+@example(BipartitePoly({((), Y1): GaussianRational(0, -1), (Y1, Y1): GaussianRational(Fraction(1, 2), 1)}))
+def test_bipartite_round_trip_random(b):
+    assert parse_bipartite(format_bipartite(b)) == b
+
+
+def test_empty_left_side_after_a_coefficient():
+    # the first entry that `freeinv hypojac -g 2 "x1 - 2*x1^2" x2` prints
+    text = "1 (x) 1 - 2*1 (x) y1 - 2*y1 (x) 1"
+    b = parse_bipartite(text)
+    assert b == BipartitePoly({((), ()): 1, ((), Y1): -2, (Y1, ()): -2})
+    assert format_bipartite(b) == text
+    assert parse_bipartite("(1+2i)*1 (x) 1") == BipartitePoly({((), ()): GaussianRational(1, 2)})
+    assert parse_poly("2*1 + x1") == x1 + 2
+    assert parse_bipartite("0") == BipartitePoly.zero()
