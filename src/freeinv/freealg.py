@@ -18,9 +18,10 @@ substitution images are keyed by letter tuples.  Everything inside the
 package that runs per term works on the encoded `_terms` directly.
 
 Substitution has one set-up, `SubstitutionImages` (encoded letters, each
-image's terms grouped by length, the lookahead flag), and one loop over the
-words of its input; `substitute_tracked` builds the set-up from a dict when
-it is given one.
+image's terms shortest first, the lookahead flag and a memo of the images of
+words), which `substitute_tracked` builds from a dict when it is given one.
+Words whose images can be truncated exactly from the memo are expanded by
+Horner's rule over their shared prefixes, the rest one letter at a time.
 
 Each stored coefficient has its narrowest exact type (`scalars.exact`): an
 int, else a Fraction, else a GaussianRational.  The constructor narrows every
@@ -36,7 +37,9 @@ letter by letter with kinds ranked x < y < z < w < h < k.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import compress
 
 from .scalars import exact
 
@@ -378,106 +381,303 @@ class FreePoly(Poly):
         return format_poly(self)
 
 
-def _length_groups(img):
-    """The terms of `img` as (length, [(word, coeff), ...]) pairs, shortest first."""
-    groups = {}
-    for iw, ic in img._terms.items():
-        groups.setdefault(len(iw), []).append((iw, ic))
-    return sorted(groups.items())
-
-
 class SubstitutionImages:
-    """Substitution images set up once for any number of truncated
-    `substitute_tracked` calls: keyed by encoded letter, each image's terms
-    grouped by length, and the lookahead flag."""
+    """Substitution images set up once for any number of `substitute_tracked`
+    calls: keyed by encoded letter, each image's terms (also as a list,
+    shortest first), the lookahead flag, and the suffix memo.
 
-    __slots__ = ("groups", "lookahead")
+    The memo maps a word s whose first and last letters are bound (have an
+    image) to (b, deg, terms): the terms of the image of s truncated at
+    budget b, and deg, the sum over the letters of s of their image degrees
+    (an unbound letter counts 1).  An entry serves a request at budget
+    b' <= b by the length filter, and any budget once deg <= b (it dropped
+    nothing).  A request the entry cannot serve rebuilds it at the new
+    budget.  Entries are built right to left, without recursion: the image
+    of a + run + s', where run holds the unbound letters before the next
+    bound one, is a's image times run times the image of s' at budget
+    b - (min length of a's image) - |run|.  Each bound letter starts with
+    its image as its entry.  Only eligible words (see `substitute_tracked`)
+    read or write the memo, so every entry is either untruncated or built
+    from nonzero constant-free images.  Polynomial terms are never written
+    after construction, so entries share dicts with the images and with the
+    results they are handed out as.
+    """
+
+    __slots__ = ("terms", "items", "lookahead", "memo", "_patterns")
 
     def __init__(self, images):
-        encoded = {encode_letter(let): img for let, img in images.items()}
-        self.groups = {let: _length_groups(img) for let, img in encoded.items()}
-        self.lookahead = all(img and EMPTY_WORD not in img._terms for img in encoded.values())
+        self.terms = terms = {encode_letter(let): img._terms for let, img in images.items()}
+        self.items = items = {let: [(w, t[w]) for w in sorted(t, key=len)] for let, t in terms.items()}
+        self.lookahead = all(t and EMPTY_WORD not in t for t in terms.values())
+        self.memo = {let: (POS_INF, len(items[let][-1][0]) if t else NEG_INF, t) for let, t in terms.items()}
+        self._patterns = None
+
+    def patterns(self):
+        """(search for a bound letter, split of a word into its unbound head,
+        its core from the first to the last bound letter or None, and its
+        unbound tail), compiled on first use."""
+        if self._patterns is None:
+            chars = re.escape("".join(self.terms))
+            bound, free = (f"[{chars}]", f"[^{chars}]") if chars else ("(?!)", ".")
+            self._patterns = (
+                re.compile(bound).search,
+                re.compile(f"({free}*)(.*{bound})?(.*)", re.DOTALL).fullmatch,
+            )
+        return self._patterns
+
+    def _times(self, a, run, tail, budget, out):
+        """out += (image of the letter a) * run * tail, truncated at budget;
+        an unbound a is its own image.  Returns the image degree of a."""
+        if a in self.terms:
+            image, items = self.terms[a], self.items[a]
+        else:
+            image, items = {a: 1}, ((a, 1),)
+        if budget == POS_INF:
+            if run:
+                image = {iw + run: ic for iw, ic in image.items()}
+            FreePoly._mac(out, image, tail)
+            return len(items[-1][0]) if items else NEG_INF
+        if run:
+            items = [(iw + run, ic) for iw, ic in items]
+        get = out.get
+        for tw, tc in tail.items():
+            room = budget - len(tw)
+            # the terms come shortest first
+            for iw, ic in items:
+                if len(iw) > room:
+                    break
+                nw = iw + tw
+                c = ic * tc
+                prev = get(nw)
+                if prev is None:
+                    out[nw] = c
+                elif s := prev + c:
+                    out[nw] = s
+                else:
+                    del out[nw]
+        return len(items[-1][0]) - len(run) if items else NEG_INF
+
+    def _low(self, a):
+        """The length of the shortest word of the image of the letter a."""
+        items = self.items.get(a, ((a, 1),))
+        return len(items[0][0]) if items else 0
+
+    def suffix_image(self, s, budget):
+        """The memo entry of s (first and last letter bound) serving
+        `budget`."""
+        memo = self.memo
+        entry = memo.get(s)
+        # an entry serves every budget up to its own, and every budget once
+        # it dropped nothing (its degree fits under its budget)
+        if entry is not None and (entry[0] >= budget or entry[1] <= entry[0]):
+            return entry
+        bound = self.terms
+        # walk right through the suffixes the memo cannot serve, down to one
+        # it can (at the latest the last letter), then build them back
+        chain = []
+        while True:
+            j = 1 if s[1] in bound else self.patterns()[0](s, 2).start()
+            chain.append((s, budget, s[1:j]))
+            budget -= self._low(s[0]) + j - 1
+            s = s[j:]
+            entry = memo.get(s)
+            if entry is not None and (entry[0] >= budget or entry[1] <= entry[0]):
+                break
+        for s, budget, run in reversed(chain):
+            terms = {}
+            deg = self._times(s[0], run, entry[2], budget, terms)
+            entry = memo[s] = (budget, deg + len(run) + entry[1], terms)
+        return entry
+
+    def word_image(self, w, cap):
+        """(terms, deg, shared) for an eligible word w: its image truncated
+        at cap, the sum of its letters' image degrees, and whether terms is
+        a memo entry's own dict.  The image is head * (image of core) * tail,
+        where head and tail are the unbound letters before the first and
+        after the last bound one."""
+        bound = self.terms
+        if w and w[0] in bound and w[-1] in bound:
+            head = tail = EMPTY_WORD
+            core = w
+        else:
+            head, core, tail = self.patterns()[1](w).groups()
+            if core is None:
+                return ({w: 1} if len(w) <= cap else {}), len(w), False
+        r = len(head) + len(tail)
+        budget, deg, terms = self.suffix_image(core, cap - r)
+        if min(budget, deg) > cap - r:
+            # the words of length <= cap - r, at C speed
+            terms = dict(compress(terms.items(), map((cap - r).__ge__, map(len, terms))))
+        elif not r:
+            return terms, deg, True
+        if r:
+            terms = {head + tw + tail: tc for tw, tc in terms.items()}
+        return terms, deg + r, False
+
+    def image(self, terms, limit):
+        """(terms, deg, shared) as `word_image`, for the polynomial with the
+        given terms (eligible words only); deg is the largest over its words.
+
+        Several words are expanded by Horner's rule over their prefixes: the
+        words sharing a prefix u are summed as u * g, the image of g is
+        expanded once and multiplied by the image of u one letter at a time,
+        and a g of a single word is taken from `word_image`.  The prefixes
+        are walked with an explicit stack, so the length of the words never
+        meets the recursion limit."""
+        if len(terms) == 1:
+            ((w, coeff),) = terms.items()
+            img, deg, shared = self.word_image(w, limit)
+            if coeff == 1:
+                return img, deg, shared
+            return {tw: coeff * tc for tw, tc in img.items()}, deg, False
+        memo = self.memo
+        items = sorted(terms.items())
+        # a frame: the words items[lo:hi] share their first d letters, and
+        # out is the image (truncated at budget) of the sum of their ends
+        # w[d:] taken so far, up to items[i]; a is the letter of the frame's
+        # child
+        stack = [[0, len(items), 0, limit, {}, NEG_INF, 0, None]]
+        child = None
+        while True:
+            frame = stack[-1]
+            lo, hi, d, budget, out, deg, i, a = frame
+            if child is not None:
+                deg = max(deg, self._times(a, EMPTY_WORD, child[0], budget, out) + child[1])
+                child = None
+            elif len(items[lo][0]) == d:
+                # the word u itself, which sorts first
+                if budget >= 0:
+                    out[EMPTY_WORD] = items[lo][1]
+                deg = 0
+                i += 1
+            while i < hi:
+                a = items[i][0][d]
+                j = i + 1
+                while j < hi and items[j][0][d] == a:
+                    j += 1
+                if j == i + 1:
+                    # a single word: out += coeff * (image of its end)
+                    w, coeff = items[i]
+                    w = w[d:]
+                    entry = memo.get(w)
+                    if entry is not None and entry[1] <= entry[0] and entry[1] <= budget:
+                        # a whole, complete memo entry (a letter's at least)
+                        img, wdeg = entry[2], entry[1]
+                    else:
+                        img, wdeg, _ = self.word_image(w, budget)
+                    if wdeg > deg:
+                        deg = wdeg
+                    get = out.get
+                    for tw, tc in img.items():
+                        tc *= coeff
+                        prev = get(tw)
+                        if prev is None:
+                            out[tw] = tc
+                        elif tc := prev + tc:
+                            out[tw] = tc
+                        else:
+                            del out[tw]
+                    i = j
+                    continue
+                frame[5:] = deg, j, a
+                stack.append([i, j, d + 1, budget - self._low(a), {}, NEG_INF, i, None])
+                break
+            else:
+                stack.pop()
+                if not stack:
+                    return out, deg, False
+                child = out, deg
 
 
 def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=None):
     """Apply the algebra homomorphism letter -> images[letter].
 
-    Returns (result, dropped) where dropped flags that some word of the true
-    image exceeded `trunc` and was pruned.  Pruning partial products is sound
-    because word lengths never shrink under concatenation.
+    Returns (result, dropped): the image truncated at `trunc` (every word
+    longer is pruned) and a flag that the expansion pruned a partial product.
+    Pruning partial products is sound because the truncation of a product is
+    the truncation of the product of the truncated factors.
 
-    Cost is per surviving partial product.  `images` is a dict letter ->
-    FreePoly or a `SubstitutionImages` built from one; a dict is set up as
-    one on each call, so a caller with many calls on the same images builds
-    it once.  Each image's terms are grouped by length, and extending a
-    partial product stops at the first group that cannot fit under `trunc`.
+    `images` is a dict letter -> FreePoly or a `SubstitutionImages` built
+    from one; a dict is set up as one on each call, so a caller with many
+    calls on the same images builds it once and shares its suffix memo.
     Under `default_identity` an unbound letter (one without an image) is its
-    own image: each run of unbound letters is appended as one slice, and a
-    word with no bound letter comes out as itself.
+    own image, and a word with no bound letter comes out as itself.
 
-    Lookahead.  When every image is nonzero and constant-free, every letter
-    still to come adds at least one letter, so a partial product of length L
-    at position pos of w is kept only if L + (len(w) - pos - 1) <= trunc.
-    This does not change `dropped`: the free algebra is a domain, so the
-    top-degree parts of a nonzero partial sum and of the later (nonzero)
-    images multiply to a nonzero polynomial, and a letter-by-letter expansion
-    that keeps a doomed product therefore exceeds `trunc` at some later
-    letter whatever cancels on the way.  The lookahead is off (the bound
-    counts no later letter) when some image is zero or has a constant term,
-    or when a word has an unbound letter and no `default_identity`: it must
-    still raise `UnboundLetter` if a partial product reaches that letter.  A
+    Eligible words.  A word is eligible when trunc is None or every image is
+    nonzero and constant-free, and when it also has no unbound letter or
+    `default_identity` is set.  The eligible words are expanded together by
+    `SubstitutionImages.image`: Horner's rule over their common prefixes,
+    with each word's remaining letters taken from the suffix memo.  For them
+    `dropped` is exactly deg > trunc, where deg is the largest sum of the
+    image degrees of a word's letters (an unbound letter counts 1).  When
+    trunc is None nothing is dropped.  Otherwise the images are nonzero and
+    constant-free: if deg <= trunc every partial product fits, and if
+    deg > trunc the top-degree parts of the (nonzero) images multiply to a
+    nonzero polynomial of degree deg, since the free algebra is a domain, so
+    some product was pruned whatever cancels on the way.
+
+    Other words are expanded left to right, one letter at a time, with each
+    run of unbound letters appended as one slice.  Extending a partial
+    product stops at the first word of the next image (shortest first) that
+    cannot fit under `trunc`, and each time that happens sets `dropped`.  A
     run is checked against `trunc` before the next image is expanded, so
-    `dropped` is set even when that image is zero.
+    `dropped` is set even when that image is zero and the result is empty.
+    An unbound letter without `default_identity` raises `UnboundLetter` once
+    a partial product reaches it.
     """
     if not isinstance(images, SubstitutionImages):
         images = SubstitutionImages(images)
-    groups = images.groups
-    lookahead = trunc is not None and images.lookahead
+    bound = images.items
     limit = POS_INF if trunc is None else trunc
-    bound = groups.keys()
-    out = {}
-    dropped = False
-    for w, coeff in f._terms.items():
-        n = len(w)
-        look = lookahead and (default_identity or bound >= set(w))
+    if not (trunc is None or images.lookahead):
+        eligible, rest = {}, f._terms
+    elif default_identity or bound.keys() >= set().union(*f._terms):
+        eligible, rest = f._terms, {}
+    else:
+        eligible, rest = {}, {}
+        for w, coeff in f._terms.items():
+            (eligible if bound.keys() >= set(w) else rest)[w] = coeff
+    out, dropped = {}, False
+    if eligible:
+        out, deg, shared = images.image(eligible, limit)
+        dropped = deg > limit
+        if shared and rest:
+            out = dict(out)
+    for w, coeff in rest.items():
         acc = {EMPTY_WORD: coeff}
         start = 0
         for pos, let in enumerate(w):
-            grp = groups.get(let)
-            if grp is None:
+            items = bound.get(let)
+            if items is None:
                 if not default_identity:
                     let = _letter_str(decode_letter(let))
                     raise UnboundLetter(f"no substitution image for letter {let}")
                 continue
-            # the longest partial product that still fits once the letters
-            # after pos are appended
-            lim = limit - (n - 1 - pos) if look else limit
             run = w[start:pos]
             start = pos + 1
             nxt = {}
             for aw, ac in acc.items():
                 if run:
                     aw += run
-                    if len(aw) > lim:
+                    if len(aw) > limit:
                         dropped = True
                         continue
-                la = len(aw)
-                for length, terms in grp:
-                    if la + length > lim:
+                room = limit - len(aw)
+                for iw, ic in items:
+                    if len(iw) > room:
                         dropped = True
                         break
-                    for iw, ic in terms:
-                        nw = aw + iw
-                        c = ac * ic
-                        prev = nxt.get(nw)
-                        if prev is None:
-                            nxt[nw] = c
+                    nw = aw + iw
+                    c = ac * ic
+                    prev = nxt.get(nw)
+                    if prev is None:
+                        nxt[nw] = c
+                    else:
+                        s = prev + c
+                        if s:
+                            nxt[nw] = s
                         else:
-                            s = prev + c
-                            if s:
-                                nxt[nw] = s
-                            else:
-                                del nxt[nw]
+                            del nxt[nw]
             acc = nxt
             if not acc:
                 break
@@ -491,12 +691,10 @@ def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=Non
             prev = out.get(aw)
             if prev is None:
                 out[aw] = ac
+            elif ac := prev + ac:
+                out[aw] = ac
             else:
-                s = prev + ac
-                if s:
-                    out[aw] = s
-                else:
-                    del out[aw]
+                del out[aw]
     return FreePoly._raw(_settled(out)), dropped
 
 

@@ -22,17 +22,23 @@ The floor is min(l + |beta|) over the groups, with no scan of the words.
 A step substitutes the system into the z-slots of every word u beta.  Only
 z-letters have images, so the image of u beta is u times the image of beta,
 and its truncation at W is u times the image of beta truncated at W - l.
-The lookahead and the `dropped` flag of `substitute_tracked` agree too: every
-length bound it tests on the prefixed word is the one it tests on beta,
-shifted by l.  So each (beta, l) is expanded once per pass, by one call of
-`substitute_tracked` on the word beta, and a step accumulates the products
-u tau over its groups.  Expanding pays per surviving partial product: x-runs
-are appended as one slice, and since the images (the components) are
-constant-free a partial product is extended only while it can still fit
-under the working degree once the rest of its word is appended -- every later
-letter adds at least one.  A zero component switches that lookahead off; the
-system x J^-1(z) of the inversion driver never has one, because J^-1(0) is
-invertible.
+The `dropped` flag of `substitute_tracked` agrees too: for beta it is
+deg(beta) > W - l, exactly when the untruncated image of u beta has a word
+longer than W.  So a step expands each (beta, l) by one call of
+`substitute_tracked` on the word beta, keeps the expansion for the rest of
+the pass, and accumulates the products u tau over its groups.
+
+The system's components are set up once as one `SubstitutionImages`
+(`ProperAlgebraicSystem.images`), whose memo keeps the image of each z-word
+core (beta from its first to its last z-letter, the x-run after it
+appended on the way out) at the largest budget asked so far.  One
+expansion therefore serves every l, every later step and every later pass
+of `iterates` on the same system at an equal or smaller budget, by a
+length filter, and at any budget once it dropped nothing; only a larger
+budget rebuilds it.  The components are constant-free, so truncated
+expansions are served from the memo whenever no component is zero; the
+system x J^-1(z) of the inversion driver never has a zero component,
+because J^-1(0) is invertible.
 
 Finality.  The z-free words a step adds are images of z-words, which have
 length >= floor, and substitution never shortens a word; so the buckets
@@ -45,8 +51,8 @@ next, and its size tells whether it changed.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count, islice
 
 from . import linalg
@@ -56,7 +62,6 @@ from .freealg import (
     FreePoly,
     SubstitutionImages,
     _settled,
-    encode_letter,
     substitute_tracked,
 )
 
@@ -85,6 +90,12 @@ class ProperAlgebraicSystem:
     @property
     def h(self):
         return len(self.components)
+
+    @cached_property
+    def images(self):
+        """The components as the images of z1..zh, set up once per system,
+        so that its suffix memo serves every run of `iterates` on it."""
+        return SubstitutionImages({("z", j + 1): comp for j, comp in enumerate(self.components)})
 
     def dz(self):
         return min((c.dz_degree("z") for c in self.components), default=POS_INF)
@@ -120,25 +131,37 @@ class IterateSplit:
     the untruncated iterate has no z-words at all (a true fixed point).
 
     `head` (the words below the floor, all z-free) and `tail` (the rest) are
-    built on first access from the factored iterate; `terms` counts the words
-    of both and `head_terms` those of the head.  Two splits are equal when
-    their k, head, tail, floor and exact are.
+    built on first access from the factored iterate, and so are `terms`, the
+    number of words of both, and `head_terms`, those of the head.  Two
+    splits are equal when their k, head, tail, floor and exact are.
     """
 
-    __slots__ = ("k", "floor", "exact", "terms", "head_terms", "_iterate", "_cut", "_head", "_tail")
+    __slots__ = ("k", "floor", "exact", "_iterate", "_cut", "_head", "_tail", "_terms", "_head_terms")
 
     def __init__(self, k, iterate, exact):
         self.k = k
         self.exact = exact
         self._iterate = iterate
-        self._head = self._tail = None
+        self._head = self._tail = self._terms = self._head_terms = None
         floor = min((ell + len(beta) for _, zwords in iterate for beta, ell in zwords), default=None)
         self.floor = floor
-        self._cut = cut = POS_INF if floor is None else floor
-        self.head_terms = sum(len(b) for free, _ in iterate for n, b in free.items() if n < cut)
-        self.terms = sum(len(b) for free, _ in iterate for b in free.values()) + sum(
-            len(us) for _, zwords in iterate for us in zwords.values()
-        )
+        self._cut = POS_INF if floor is None else floor
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            iterate = self._iterate
+            self._terms = sum(len(b) for free, _ in iterate for b in free.values()) + sum(
+                len(us) for _, zwords in iterate for us in zwords.values()
+            )
+        return self._terms
+
+    @property
+    def head_terms(self):
+        if self._head_terms is None:
+            cut = self._cut
+            self._head_terms = sum(len(b) for free, _ in self._iterate for n, b in free.items() if n < cut)
+        return self._head_terms
 
     @property
     def head(self):
@@ -209,10 +232,11 @@ def _file(words, bucket, zwords, first_z):
 
 def _expand(images, beta, ell, trunc):
     """The image tau of the z-suffix beta truncated at trunc - l, as
-    [tau's (word, coeff) list, whether a word was dropped, None]; the last
-    slot is for `_split_expansion`."""
+    [tau's (word, coeff) pairs, whether a word was dropped, None]; the last
+    slot is for `_split_expansion`.  The pairs are a view of tau's terms,
+    which may be a memo entry's: they are only read."""
     tau, dropped = substitute_tracked(FreePoly._raw({beta: 1}), images, default_identity=True, trunc=trunc - ell)
-    return [list(tau._terms.items()), dropped, None]
+    return [tau._terms.items(), dropped, None]
 
 
 def _split_expansion(terms, ell, first_z):
@@ -269,12 +293,14 @@ def _step(images, iterate, trunc, expansions, first_z):
     cheap orientation; both give the same composite by the semigroup law for
     self-composition).
 
-    Each (beta, l) group expands beta once, truncated at trunc - l, and
-    `expansions` keeps that expansion for the pass.  A group with many
-    prefixes u writes u tau straight into its target buckets and groups.  A
-    group with few would pay a target lookup per term of tau for one or two
-    products, so its words go to one flat dict, which is split by first
-    z-letter once all products (which often merge) are in.
+    Each (beta, l) group expands beta once per pass, truncated at
+    trunc - l, and `expansions` keeps that expansion (and its split) for the
+    pass; the image set's memo keeps the image of beta across l, steps and
+    passes.  A group with many prefixes u writes u tau straight into its
+    target buckets and groups.  A group with few would pay a target lookup
+    per term of tau for one or two products, so its words go to one flat
+    dict, which is split by first z-letter once all products (which often
+    merge) are in.
     """
     out = []
     dropped = False
@@ -324,12 +350,16 @@ _WIDE = 4
 
 def iterates(system, trunc: int):
     """Yield the split of the k-th self-composition, truncated at degree
-    `trunc`, for k = 1, 2, ...; `exact` stays True while no word was dropped."""
+    `trunc`, for k = 1, 2, ...; `exact` stays True while no word was dropped.
+
+    Runs on one `ProperAlgebraicSystem` share its image set and so its
+    suffix memo; any other sequence of components gets a system of its own."""
     _require_proper(system)
-    comps = _as_components(system)
-    letters = [("z", j + 1) for j in range(len(comps))]
-    images = SubstitutionImages(dict(zip(letters, comps)))
-    first_z = re.compile("[" + re.escape("".join(map(encode_letter, letters))) + "]").search
+    if not isinstance(system, ProperAlgebraicSystem):
+        system = ProperAlgebraicSystem(system)
+    comps = system.components
+    images = system.images
+    first_z = images.patterns()[0]
     current = tuple(c.truncate(trunc) for c in comps)
     exact = all(len(cur) == len(orig) for cur, orig in zip(current, comps))
     iterate = []
