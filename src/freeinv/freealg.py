@@ -18,10 +18,11 @@ substitution images are keyed by letter tuples.  Everything inside the
 package that runs per term works on the encoded `_terms` directly.
 
 Substitution has one set-up, `SubstitutionImages` (encoded letters, each
-image's terms shortest first, the lookahead flag and a memo of the images of
-words), which `substitute_tracked` builds from a dict when it is given one.
-Words whose images can be truncated exactly from the memo are expanded by
-Horner's rule over their shared prefixes, the rest one letter at a time.
+image's terms shortest first, the letters with a zero image and a memo of the
+images of words), which `substitute_tracked` builds from a dict when it is
+given one, and one expansion: Horner's rule over the words' shared prefixes,
+with their ends from the memo.  A word with a zero image or an unbound letter
+in it contributes nothing, and its degrees alone tell what it did.
 
 Each stored coefficient has its narrowest exact type (`scalars.exact`): an
 int, else a Fraction, else a GaussianRational.  The constructor narrows every
@@ -384,7 +385,7 @@ class FreePoly(Poly):
 class SubstitutionImages:
     """Substitution images set up once for any number of `substitute_tracked`
     calls: keyed by encoded letter, each image's terms (also as a list,
-    shortest first), the lookahead flag, and the suffix memo.
+    shortest first), the letters whose image is zero, and the suffix memo.
 
     The memo maps a word s whose first and last letters are bound (have an
     image) to (b, deg, terms): the terms of the image of s truncated at
@@ -396,19 +397,19 @@ class SubstitutionImages:
     of a + run + s', where run holds the unbound letters before the next
     bound one, is a's image times run times the image of s' at budget
     b - (min length of a's image) - |run|.  Each bound letter starts with
-    its image as its entry.  Only eligible words (see `substitute_tracked`)
-    read or write the memo, so every entry is either untruncated or built
-    from nonzero constant-free images.  Polynomial terms are never written
-    after construction, so entries share dicts with the images and with the
-    results they are handed out as.
+    its image as its entry.  This holds for any images, constant terms and
+    zero images included: a truncation of a truncation is a truncation, and
+    a word of the image is never longer than deg.  Polynomial terms are
+    never written after construction, so entries share dicts with the
+    images and with the results they are handed out as.
     """
 
-    __slots__ = ("terms", "items", "lookahead", "memo", "_patterns")
+    __slots__ = ("terms", "items", "zeros", "memo", "_patterns")
 
     def __init__(self, images):
         self.terms = terms = {encode_letter(let): img._terms for let, img in images.items()}
         self.items = items = {let: [(w, t[w]) for w in sorted(t, key=len)] for let, t in terms.items()}
-        self.lookahead = all(t and EMPTY_WORD not in t for t in terms.values())
+        self.zeros = {let for let, t in terms.items() if not t}
         self.memo = {let: (POS_INF, len(items[let][-1][0]) if t else NEG_INF, t) for let, t in terms.items()}
         self._patterns = None
 
@@ -490,9 +491,9 @@ class SubstitutionImages:
         return entry
 
     def word_image(self, w, cap):
-        """(terms, deg, shared) for an eligible word w: its image truncated
-        at cap, the sum of its letters' image degrees, and whether terms is
-        a memo entry's own dict.  The image is head * (image of core) * tail,
+        """(terms, deg) for a word w of unbound letters and letters with
+        nonzero images: its image truncated at cap, and the sum of its
+        letters' image degrees.  The image is head * (image of core) * tail,
         where head and tail are the unbound letters before the first and
         after the last bound one."""
         bound = self.terms
@@ -502,21 +503,19 @@ class SubstitutionImages:
         else:
             head, core, tail = self.patterns()[1](w).groups()
             if core is None:
-                return ({w: 1} if len(w) <= cap else {}), len(w), False
+                return ({w: 1} if len(w) <= cap else {}), len(w)
         r = len(head) + len(tail)
         budget, deg, terms = self.suffix_image(core, cap - r)
         if min(budget, deg) > cap - r:
             # the words of length <= cap - r, at C speed
             terms = dict(compress(terms.items(), map((cap - r).__ge__, map(len, terms))))
-        elif not r:
-            return terms, deg, True
         if r:
             terms = {head + tw + tail: tc for tw, tc in terms.items()}
-        return terms, deg + r, False
+        return terms, deg + r
 
     def image(self, terms, limit):
-        """(terms, deg, shared) as `word_image`, for the polynomial with the
-        given terms (eligible words only); deg is the largest over its words.
+        """(terms, deg) as `word_image`, for the nonzero polynomial with the
+        given terms; deg is the largest over its words.
 
         Several words are expanded by Horner's rule over their prefixes: the
         words sharing a prefix u are summed as u * g, the image of g is
@@ -526,10 +525,10 @@ class SubstitutionImages:
         meets the recursion limit."""
         if len(terms) == 1:
             ((w, coeff),) = terms.items()
-            img, deg, shared = self.word_image(w, limit)
+            img, deg = self.word_image(w, limit)
             if coeff == 1:
-                return img, deg, shared
-            return {tw: coeff * tc for tw, tc in img.items()}, deg, False
+                return img, deg
+            return {tw: coeff * tc for tw, tc in img.items()}, deg
         memo = self.memo
         items = sorted(terms.items())
         # a frame: the words items[lo:hi] share their first d letters, and
@@ -564,7 +563,7 @@ class SubstitutionImages:
                         # a whole, complete memo entry (a letter's at least)
                         img, wdeg = entry[2], entry[1]
                     else:
-                        img, wdeg, _ = self.word_image(w, budget)
+                        img, wdeg = self.word_image(w, budget)
                     if wdeg > deg:
                         deg = wdeg
                     get = out.get
@@ -585,7 +584,7 @@ class SubstitutionImages:
             else:
                 stack.pop()
                 if not stack:
-                    return out, deg, False
+                    return out, deg
                 child = out, deg
 
 
@@ -593,9 +592,9 @@ def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=Non
     """Apply the algebra homomorphism letter -> images[letter].
 
     Returns (result, dropped): the image truncated at `trunc` (every word
-    longer is pruned) and a flag that the expansion pruned a partial product.
-    Pruning partial products is sound because the truncation of a product is
-    the truncation of the product of the truncated factors.
+    longer is pruned) and a flag that the expansion pruned a partial product,
+    as a letter-by-letter expansion that prunes every partial product longer
+    than `trunc` and ends a word once nothing is left would set it.
 
     `images` is a dict letter -> FreePoly or a `SubstitutionImages` built
     from one; a dict is set up as one on each call, so a caller with many
@@ -603,99 +602,63 @@ def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=Non
     Under `default_identity` an unbound letter (one without an image) is its
     own image, and a word with no bound letter comes out as itself.
 
-    Eligible words.  A word is eligible when trunc is None or every image is
-    nonzero and constant-free, and when it also has no unbound letter or
-    `default_identity` is set.  The eligible words are expanded together by
-    `SubstitutionImages.image`: Horner's rule over their common prefixes,
-    with each word's remaining letters taken from the suffix memo.  For them
-    `dropped` is exactly deg > trunc, where deg is the largest sum of the
-    image degrees of a word's letters (an unbound letter counts 1).  When
-    trunc is None nothing is dropped.  Otherwise the images are nonzero and
-    constant-free: if deg <= trunc every partial product fits, and if
-    deg > trunc the top-degree parts of the (nonzero) images multiply to a
-    nonzero polynomial of degree deg, since the free algebra is a domain, so
-    some product was pruned whatever cancels on the way.
+    Everything rests on one fact: the free algebra is a domain, so a product
+    of nonzero polynomials is nonzero, with top degree the sum of the top
+    degrees and low degree the sum of the low degrees.  For a word w let
+    deg(w) and low(w) be the sums over its letters of their images' longest
+    and shortest word lengths (an unbound letter counts 1).
 
-    Other words are expanded left to right, one letter at a time, with each
-    run of unbound letters appended as one slice.  Extending a partial
-    product stops at the first word of the next image (shortest first) that
-    cannot fit under `trunc`, and each time that happens sets `dropped`.  A
-    run is checked against `trunc` before the next image is expanded, so
-    `dropped` is set even when that image is zero and the result is empty.
-    An unbound letter without `default_identity` raises `UnboundLetter` once
-    a partial product reaches it.
+    A word is live when every letter has a nonzero image or is unbound under
+    `default_identity`.  The live words are expanded together by
+    `SubstitutionImages.image`: Horner's rule over their common prefixes,
+    with each word's remaining letters taken from the suffix memo.  A live
+    word drops a partial product exactly when deg(w) > trunc: while every
+    prefix has deg <= trunc nothing is pruned, so the partial product is the
+    whole image of the prefix, whose top-degree part is nonzero; the first
+    prefix with deg > trunc therefore reaches past trunc, whatever cancels.
+    So `dropped` is deg > trunc for the largest deg of a live word, whatever
+    the images' constant terms.
+
+    Every other word stops at its first stop letter: a letter whose image is
+    zero, or an unbound letter without `default_identity`; P is the part
+    before it, and the truncated image of P is nonzero exactly when
+    low(P) <= trunc.  The word contributes no term.  At a zero image it
+    dropped a partial product when deg(P) > trunc; at an unbound letter it
+    raises `UnboundLetter` when the image of P is nonzero, and otherwise
+    every partial product was pruned, so it dropped one.
     """
     if not isinstance(images, SubstitutionImages):
         images = SubstitutionImages(images)
     bound = images.items
     limit = POS_INF if trunc is None else trunc
-    if not (trunc is None or images.lookahead):
-        eligible, rest = {}, f._terms
-    elif default_identity or bound.keys() >= set().union(*f._terms):
-        eligible, rest = f._terms, {}
+    dropped = False
+    if not images.zeros and (default_identity or bound.keys() >= set().union(*f._terms)):
+        live = f._terms
     else:
-        eligible, rest = {}, {}
+        live = {}
         for w, coeff in f._terms.items():
-            (eligible if bound.keys() >= set(w) else rest)[w] = coeff
-    out, dropped = {}, False
-    if eligible:
-        out, deg, shared = images.image(eligible, limit)
-        dropped = deg > limit
-        if shared and rest:
-            out = dict(out)
-    for w, coeff in rest.items():
-        acc = {EMPTY_WORD: coeff}
-        start = 0
-        for pos, let in enumerate(w):
-            items = bound.get(let)
-            if items is None:
-                if not default_identity:
-                    let = _letter_str(decode_letter(let))
-                    raise UnboundLetter(f"no substitution image for letter {let}")
-                continue
-            run = w[start:pos]
-            start = pos + 1
-            nxt = {}
-            for aw, ac in acc.items():
-                if run:
-                    aw += run
-                    if len(aw) > limit:
-                        dropped = True
-                        continue
-                room = limit - len(aw)
-                for iw, ic in items:
-                    if len(iw) > room:
-                        dropped = True
-                        break
-                    nw = aw + iw
-                    c = ac * ic
-                    prev = nxt.get(nw)
-                    if prev is None:
-                        nxt[nw] = c
-                    else:
-                        s = prev + c
-                        if s:
-                            nxt[nw] = s
-                        else:
-                            del nxt[nw]
-            acc = nxt
-            if not acc:
-                break
-        else:
-            run = w[start:]
-            if run:
-                nxt = {aw + run: ac for aw, ac in acc.items() if len(aw) + len(run) <= limit}
-                dropped = dropped or len(nxt) < len(acc)
-                acc = nxt
-        for aw, ac in acc.items():
-            prev = out.get(aw)
-            if prev is None:
-                out[aw] = ac
-            elif ac := prev + ac:
-                out[aw] = ac
+            low = deg = 0
+            for let in w:
+                items = bound.get(let)
+                if items:
+                    low += len(items[0][0])
+                    deg += len(items[-1][0])
+                elif items is None and default_identity:
+                    low += 1
+                    deg += 1
+                else:
+                    # a stop letter
+                    if items is None and low <= limit:
+                        let = _letter_str(decode_letter(let))
+                        raise UnboundLetter(f"no substitution image for letter {let}")
+                    dropped = dropped or deg > limit
+                    break
             else:
-                del out[aw]
-    return FreePoly._raw(_settled(out)), dropped
+                live[w] = coeff
+    if not live:
+        return FreePoly.zero(), dropped
+    out, deg = images.image(live, limit)
+    return FreePoly._raw(_settled(out)), dropped or deg > limit
 
 
 def substitute(f: FreePoly, images, *, default_identity=False, trunc=None) -> FreePoly:

@@ -1,14 +1,13 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Matrices are immutable tuples of row tuples of exact scalars.  `mat` and
-`identity` build them from GaussianRational values; `zeros`, `scale`, `mul`
-and `inverse` produce entries in their narrowest exact type
-(`scalars.exact`), so products of integer matrices run on native ints.  No
-floating point anywhere.  `inverse` and `solve` run one fraction-free
-(Bareiss) Gauss-Jordan elimination for every entry type: every entry stays a
-minor of the input, so integer matrices run on native ints, and the left
-block ends as d * I, with d the last pivot, +-det a; the right block is then
-divided by d once per entry.
+Matrices are immutable tuples of row tuples of exact scalars.  `mat`,
+`identity`, `zeros`, `scale`, `mul` and `inverse` produce entries in their
+narrowest exact type (`scalars.exact`), so products of integer matrices run
+on native ints.  No floating point anywhere.  `inverse` and `solve` run one
+fraction-free (Bareiss) Gauss-Jordan elimination for every entry type: every
+entry stays a minor of the input, so integer matrices run on native ints, and
+the left block ends as d * I, with d the last pivot, +-det a; the right block
+is then divided by d once per entry.
 """
 
 from __future__ import annotations
@@ -16,20 +15,15 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .scalars import GaussianRational, as_gaussian, exact
-
-_ZERO = GaussianRational(0)
-_ONE = GaussianRational(1)
+from .scalars import as_gaussian, exact
 
 
 def mat(rows):
-    return tuple(tuple(as_gaussian(e) for e in row) for row in rows)
+    return tuple(tuple(map(exact, row)) for row in rows)
 
 
 def identity(n):
-    return tuple(
-        tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def zeros(r, c):

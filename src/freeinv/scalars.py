@@ -37,9 +37,9 @@ def _gaussian(re: Fraction, im: Fraction):
 class GaussianRational:
     """Immutable exact complex scalar with Fraction real and imaginary parts.
 
-    Constructing one directly keeps the type whatever the parts are (the
-    matrices of `freeinv.linalg` hold such values); every arithmetic result
-    is narrowed to an int or a Fraction when its imaginary part is 0.
+    Constructing one directly keeps the type whatever the parts are
+    (`parsing.parse_scalar` returns such values); every arithmetic result is
+    narrowed to an int or a Fraction when its imaginary part is 0.
     """
 
     __slots__ = ("re", "im")
@@ -100,7 +100,7 @@ class GaussianRational:
         if other is None:
             return NotImplemented
         if not self.im and not other.im:
-            # real operands, as in the entries of `linalg.mat` matrices
+            # real operands, as in a parsed real entry of a matrix tuple
             return _rational(self.re * other.re)
         return _gaussian(
             self.re * other.re - self.im * other.im,

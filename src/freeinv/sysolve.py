@@ -35,9 +35,9 @@ appended on the way out) at the largest budget asked so far.  One
 expansion therefore serves every l, every later step and every later pass
 of `iterates` on the same system at an equal or smaller budget, by a
 length filter, and at any budget once it dropped nothing; only a larger
-budget rebuilds it.  The components are constant-free, so truncated
-expansions are served from the memo whenever no component is zero; the
-system x J^-1(z) of the inversion driver never has a zero component,
+budget rebuilds it.  A suffix through a zero component expands to
+nothing, and the degrees of its letters alone settle its `dropped` flag;
+the system x J^-1(z) of the inversion driver never has a zero component,
 because J^-1(0) is invertible.
 
 Finality.  The z-free words a step adds are images of z-words, which have

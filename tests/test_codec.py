@@ -137,7 +137,8 @@ small_words = st.lists(st.sampled_from(BOUND + (("w", 7), ("h", 90))), max_size=
 
 @st.composite
 def images(draw):
-    # nonzero constant-free images switch on the length lookahead
+    # half the draws are nonzero constant-free images, as the fixed-point
+    # iteration has them; the others may be zero or have a constant term
     constant_free = int(draw(st.booleans()))
     image_words = st.lists(st.sampled_from(BOUND), min_size=constant_free, max_size=3).map(tuple)
     image = st.dictionaries(image_words, S.coefficients, min_size=constant_free, max_size=3)

@@ -122,8 +122,9 @@ def test_emptied_accumulator_does_not_raise_on_unbound_letter():
     assert got == expected == "unbound"
 
 
-# images that switch the lookahead on: every image nonzero and constant-free,
-# and either every letter bound or unbound letters passed through as themselves
+# images as the fixed-point iteration has them: every image nonzero and
+# constant-free, and either every letter bound or unbound letters passed
+# through as themselves, so that every word is live
 lookahead_image = S.constant_free_polys(kinds="xz", max_len=3, max_terms=3).filter(bool)
 
 
@@ -174,6 +175,17 @@ def test_zero_or_constant_image_switches_the_lookahead_off():
     images = {("z", 1): x1 * x1, ("z", 2): 1 + x2}
     got, expected = run_both(z1 * z2, images, True, 2)
     assert got == expected == ({x1x1: 1}, True)
+
+
+def test_stop_letter_reads_the_low_and_the_top_degree_of_the_prefix():
+    # z1 -> x2 + x2^2 has low degree 1 and top degree 2: at trunc 1 the term
+    # x2 still reaches the unbound x1, which raises, although x2^2 was pruned
+    got, expected = run_both(z1 * x1, {("z", 1): x2 + x2 * x2}, False, 1)
+    assert got == expected == "unbound"
+    # at trunc 2, x1^3 is pruned before the zero image of z2 ends the word
+    images = {("z", 1): x1 + x1**3, ("z", 2): FreePoly.zero()}
+    got, expected = run_both(z1 * FreePoly.letter("z", 2), images, False, 2)
+    assert got == expected == ({}, True)
 
 
 def ref_dz_degree(f, kind):
