@@ -19,38 +19,78 @@ The iterate is held factored, per component:
 
 The floor is min(l + |beta|) over the groups, with no scan of the words.
 
-A step substitutes the system into the z-slots of every word u beta.  Only
-z-letters have images, so the image of u beta is u times the image of beta,
-and its truncation at W is u times the image of beta truncated at W - l.
-The `dropped` flag of `substitute_tracked` agrees too: for beta it is
-deg(beta) > W - l, exactly when the untruncated image of u beta has a word
-longer than W.  So a step expands each (beta, l) by one call of
-`substitute_tracked` on the word beta, keeps the expansion for the rest of
-the pass, and accumulates the products u tau over its groups.
+A step forms T_{k+1} from the iterate T_k.  By the semigroup law of
+self-composition T_{k+1} = T_k o a = a o T_k, and truncating the inner map
+at W first changes neither, because no image has a constant term.  So a step
+can take either side, and each side is several times faster on some
+iterates:
+
+- The iterate side, T_k o a, substitutes the system into the z-slots of
+  every word u beta.  Only z-letters have images, so the image of u beta is
+  u times the image of beta, and its truncation at W is u times the image of
+  beta truncated at W - l.  The step expands each (beta, l) by one call of
+  `substitute_tracked` on the word beta, keeps the expansion for the rest of
+  the pass, and accumulates the products u tau over its groups.  Its cost
+  grows with the number of groups.
+- The system side, a o T_k, flattens T_k, sets its components up as the
+  images of z1..zh and substitutes them into the system, one call of
+  `substitute_tracked` per component: Horner's rule over the few short words
+  of a.  Its cost grows with the size of T_k's components and does not see
+  how the words group.
+
+`_step` takes the system side when T_k has more than two (beta, l) groups
+per term of a, and the iterate side otherwise.  Measured per step (CPython
+3.11, 2-core VM, the invert jobs of the benchmark's workloads): on the
+heaviest seed-8 tame maps, whose T_2 has 1,810 terms in 942 groups against
+27 terms of a, the iterate side takes 20-26 ms and the system side 5-7 ms;
+NILPOTENT's iterates keep two groups while their terms double, and its step
+on 32,766 terms takes 10 ms on the iterate side against 73 ms on the system
+side; the family maps (x1, x2 - x1^a x2 x1^b), one group against 3 terms,
+take 0.02 ms against 0.08 ms (medians).  Over the 104 tame steps the rule
+takes 0.059 s, the iterate side alone 0.107 s and the better side of each
+step 0.053 s; over the 785 negative steps it takes the iterate side
+throughout (0.037 s, against 0.228 s for the system side alone).  The rule
+reads two counts the step already has, so choosing costs one length per
+component.
+
+The `dropped` flag of a step has one meaning on both sides, the iterate
+side's: for a group (beta, l) it is deg(beta) > W - l, exactly when the
+untruncated image of u beta has a word longer than W, where deg(beta) sums
+the top degrees of the images of its letters; at a letter with a zero image
+it is deg of the part before that letter > W - l.  The system side computes
+it from T_k's groups in the same way, not from its own expansion, whose flag
+weighs a word of a by the top degrees of T_k's components: the two flags are
+flags of two different expansions of the same composite, and before a zero
+letter they can differ (`tests/test_sysolve.py` pins such a system).  So
+`exact`, every split, every loop index and every `cap_used` are the same
+whichever side a step takes.
 
 The system's components are set up once as one `SubstitutionImages`
 (`ProperAlgebraicSystem.images`), whose memo keeps the image of each z-word
 core (beta from its first to its last z-letter, the x-run after it
 appended on the way out) at the largest budget asked so far.  One
-expansion therefore serves every l, every later step and every later pass
-of `iterates` on the same system at an equal or smaller budget, by a
-length filter, and at any budget once it dropped nothing; only a larger
+expansion therefore serves every l, every later iterate-side step and every
+later pass of `iterates` on the same system at an equal or smaller budget,
+by a length filter, and at any budget once it dropped nothing; only a larger
 budget rebuilds it.  A suffix through a zero component expands to
 nothing, and the degrees of its letters alone settle its `dropped` flag;
 the system x J^-1(z) of the inversion driver never has a zero component,
-because J^-1(0) is invertible.
+because J^-1(0) is invertible.  A system-side step builds an image set of
+its own, which lives for that step.
 
 Finality.  The z-free words a step adds are images of z-words, which have
 length >= floor, and substitution never shortens a word; so the buckets
-below the floor are final, and no later step reads or copies their words.  The
-buckets at or above it are copied when a step first writes to them, so a
-split yielded earlier stays valid however far the generator runs.  The head
-(the buckets below the floor) therefore only grows from one iterate to the
+below the floor are final.  An iterate-side step never reads or copies
+their words, and copies a bucket at or above the floor when it first writes
+to it; a system-side step builds every bucket afresh.  Either way a split
+yielded earlier stays valid however far the generator runs.  The head (the
+buckets below the floor) therefore only grows from one iterate to the
 next, and its size tells whether it changed.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
@@ -96,6 +136,23 @@ class ProperAlgebraicSystem:
         """The components as the images of z1..zh, set up once per system,
         so that its suffix memo serves every run of `iterates` on it."""
         return SubstitutionImages({("z", j + 1): comp for j, comp in enumerate(self.components)})
+
+    @cached_property
+    def size(self):
+        """The number of terms of all components, which `_step` weighs
+        against the iterate's groups."""
+        return sum(map(len, self.components))
+
+    @cached_property
+    def growth(self):
+        """How z-suffixes grow under the system, for `_group_dropped`:
+        (letter, top degree of its image - 1) for each z-letter whose image
+        is nonzero and not of degree 1, and a search for the z-letters whose
+        image is zero (None if there are none); letters encoded."""
+        items = self.images.items
+        excess = [(a, len(t[-1][0]) - 1) for a, t in items.items() if t and len(t[-1][0]) != 1]
+        zeros = "".join(a for a, t in items.items() if not t)
+        return excess, (re.compile(f"[{re.escape(zeros)}]").search if zeros else None)
 
     def dz(self):
         return min((c.dz_degree("z") for c in self.components), default=POS_INF)
@@ -180,18 +237,7 @@ class IterateSplit:
     @property
     def tail(self):
         if self._tail is None:
-            cut = self._cut
-            tail = []
-            for free, zwords in self._iterate:
-                terms = {}
-                for n, bucket in free.items():
-                    if n >= cut:
-                        terms.update(bucket)
-                for (beta, _), us in zwords.items():
-                    for u, c in us.items():
-                        terms[u + beta] = c
-                tail.append(FreePoly._raw(terms))
-            self._tail = tuple(tail)
+            self._tail = tuple(FreePoly._raw(_words(free, zwords, self._cut)) for free, zwords in self._iterate)
         return self._tail
 
     def head_degree(self):
@@ -220,14 +266,35 @@ def _require_proper(system):
 def _file(words, bucket, zwords, first_z):
     """Add each term of `words` to its length bucket, bucket(n), if it is
     z-free, else to its group zwords[beta, l][u], where u is its z-free
-    prefix of length l and beta the rest."""
+    prefix of length l and beta the rest; a zero sum is dropped."""
     for w, c in words.items():
         m = first_z(w)
         if m is None:
-            _put(bucket(len(w)), w, c)
+            target = bucket(len(w))
         else:
             j = m.start()
-            _put(zwords.setdefault((w[j:], j), {}), w[:j], c)
+            target = zwords.setdefault((w[j:], j), {})
+            w = w[:j]
+        prev = target.get(w)
+        if prev is None:
+            target[w] = c
+        elif c := prev + c:
+            target[w] = c
+        else:
+            del target[w]
+
+
+def _words(free, zwords, cut=0):
+    """The terms of a factored component: its z-words and its z-free words
+    of length >= cut."""
+    terms = {}
+    for n, bucket in free.items():
+        if n >= cut:
+            terms.update(bucket)
+    for (beta, _), us in zwords.items():
+        for u, c in us.items():
+            terms[u + beta] = c
+    return terms
 
 
 def _expand(images, beta, ell, trunc):
@@ -255,22 +322,9 @@ def _split_expansion(terms, ell, first_z):
     return list(buckets.items()), list(groups.items())
 
 
-def _put(target, w, c):
-    """target[w] += c, dropping a zero sum."""
-    prev = target.get(w)
-    if prev is None:
-        target[w] = c
-    else:
-        c += prev
-        if c:
-            target[w] = c
-        else:
-            del target[w]
-
-
 def _add(target, us, part):
     """target += sum of us[u] * c * (u t) over u and (t, c) in part, dropping
-    zero sums (`_put` inlined: this is the innermost loop)."""
+    zero sums."""
     get = target.get
     for u, c in us.items():
         for t, tc in part:
@@ -287,11 +341,60 @@ def _add(target, us, part):
                     del target[w]
 
 
-def _step(images, iterate, trunc, expansions, first_z):
-    """One composition step on the factored iterate: substitute the base
-    system (as z-slot `images`) into the z-slots of the current iterate (the
-    cheap orientation; both give the same composite by the semigroup law for
-    self-composition).
+def _step(system, iterate, trunc, expansions, first_z):
+    """One composition step on the factored iterate T_k: T_{k+1} truncated at
+    trunc, and whether a word was dropped, in the iterate side's meaning
+    whichever side computes it.  The step takes the system side, a o T_k,
+    when T_k has more than `_GROUPS_PER_TERM` (beta, l) groups per term of
+    the system a, and the iterate side, T_k o a, otherwise: the system side
+    expands each of a's few words once, the iterate side each group once.
+    The module docstring gives the per-step timings behind the rule; the
+    term count of a is kept by the system, so choosing costs one length per
+    component."""
+    groups = 0
+    for _, zwords in iterate:
+        groups += len(zwords)
+    if groups > _GROUPS_PER_TERM * system.size:
+        return _into_system(system, iterate, trunc, first_z)
+    return _into_iterate(system.images, iterate, trunc, expansions, first_z)
+
+
+def _into_system(system, iterate, trunc, first_z):
+    """a o T_k: the components of T_k substituted into the z-slots of the
+    system, one `substitute_tracked` call per component.  Its `dropped` is
+    the one `_into_iterate` reports, read off the groups of T_k by
+    `_group_dropped`, not off this expansion (see the module docstring)."""
+    images = SubstitutionImages(
+        {("z", j + 1): FreePoly._raw(_words(*part)) for j, part in enumerate(iterate)}
+    )
+    out = []
+    for comp in system.components:
+        result, _ = substitute_tracked(comp, images, default_identity=True, trunc=trunc)
+        free = {}
+        zwords = {}
+        _file(result._terms, lambda n: free.setdefault(n, {}), zwords, first_z)
+        out.append((free, zwords))
+    excess, zero = system.growth
+    dropped = any(
+        _group_dropped(beta, trunc - ell, excess, zero) for _, zwords in iterate for beta, ell in zwords
+    )
+    return tuple(out), dropped
+
+
+def _group_dropped(beta, room, excess, zero):
+    """The `dropped` flag of `substitute_tracked` on the z-suffix beta at
+    trunc room: deg(beta) > room, or at a letter with a zero image, deg of
+    the part before it > room (deg: the sum of the letters' top image
+    degrees, an x-letter counting 1; `excess` and `zero` as in
+    `ProperAlgebraicSystem.growth`)."""
+    if zero is not None and (m := zero(beta)):
+        beta = beta[: m.start()]
+    return len(beta) + sum(beta.count(a) * e for a, e in excess) > room
+
+
+def _into_iterate(images, iterate, trunc, expansions, first_z):
+    """T_k o a: the base system (as z-slot `images`) substituted into the
+    z-slots of every group of T_k.
 
     Each (beta, l) group expands beta once per pass, truncated at
     trunc - l, and `expansions` keeps that expansion (and its split) for the
@@ -343,9 +446,14 @@ def _step(images, iterate, trunc, expansions, first_z):
     return tuple(out), dropped
 
 
-# groups with fewer prefixes than this take the flat route in `_step`; 2, 4
-# and 8 timed alike within noise on the benchmark workloads
+# groups with fewer prefixes than this take the flat route in
+# `_into_iterate`; 2, 4 and 8 timed alike within noise on the benchmark
+# workloads
 _WIDE = 4
+
+# `_step` takes a o T_k when T_k has more (beta, l) groups than this many per
+# term of the system a
+_GROUPS_PER_TERM = 2
 
 
 def iterates(system, trunc: int):
@@ -358,8 +466,7 @@ def iterates(system, trunc: int):
     if not isinstance(system, ProperAlgebraicSystem):
         system = ProperAlgebraicSystem(system)
     comps = system.components
-    images = system.images
-    first_z = images.patterns()[0]
+    first_z = system.images.patterns()[0]
     current = tuple(c.truncate(trunc) for c in comps)
     exact = all(len(cur) == len(orig) for cur, orig in zip(current, comps))
     iterate = []
@@ -372,7 +479,7 @@ def iterates(system, trunc: int):
     expansions = {}
     for k in count(1):
         yield IterateSplit(k, iterate, exact)
-        iterate, dropped = _step(images, iterate, trunc, expansions, first_z)
+        iterate, dropped = _step(system, iterate, trunc, expansions, first_z)
         exact = exact and not dropped
 
 

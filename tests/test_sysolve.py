@@ -1,6 +1,7 @@
 """Proper-system iteration, splits, truncated solving, implicit solving."""
 
 import random
+from contextlib import contextmanager
 from itertools import islice
 
 import pytest
@@ -15,16 +16,18 @@ from freeinv import (
     SingularLinearPart,
     check_proper,
     implicit_solve,
+    invert,
     iterate_split,
     iterates,
     solve_truncated,
     auxiliary_inverse,
     substitute,
+    sysolve,
 )
 from freeinv.inverter import jacobian_gate
 
 import strategies as S
-from corpus import NILPOTENT
+from corpus import NILPOTENT, P_CLASSIC
 from tame import random_tame_pair
 from test_substitute import ref_substitute
 
@@ -115,11 +118,17 @@ def ref_iterates(system, trunc, k_max):
     return out
 
 
-@given(S.proper_systems(), st.sampled_from([0, 1, 2, 3, 4, 6, 8]))
-def test_iterates_match_reference_composition(system, trunc):
-    k_max = 5
+def check_iterates(system, trunc, k_max):
     got = [(s.k, s.head, s.tail, s.floor, s.exact) for s in islice(iterates(system, trunc), k_max)]
     assert got == ref_iterates(system, trunc, k_max)
+
+
+TRUNCS = [0, 1, 2, 3, 4, 6, 8]
+
+
+@given(S.proper_systems(), st.sampled_from(TRUNCS))
+def test_iterates_match_reference_composition(system, trunc):
+    check_iterates(system, trunc, 5)
 
 
 def family(a, b):
@@ -136,7 +145,7 @@ def tame_maps(n):
     return [random_tame_pair(rng)[0] for _ in range(n)]
 
 
-@pytest.mark.parametrize(
+AUXILIARY = pytest.mark.parametrize(
     "maps, trunc, k_max",
     [
         ([NILPOTENT], 12, 10),
@@ -146,11 +155,95 @@ def tame_maps(n):
     ],
     ids=["nilpotent", "family", "sandwich", "tame"],
 )
+
+
+@AUXILIARY
 def test_iterates_match_reference_on_auxiliary_systems(maps, trunc, k_max):
     for p in maps:
-        system = aux_system(p)
-        got = [(s.k, s.head, s.tail, s.floor, s.exact) for s in islice(iterates(system, trunc), k_max)]
-        assert got == ref_iterates(system, trunc, k_max)
+        check_iterates(aux_system(p), trunc, k_max)
+
+
+# a step takes a o T_k (the system side) or T_k o a (the iterate side)
+KERNELS = {"system": "_into_system", "iterate": "_into_iterate"}
+
+
+@contextmanager
+def forced(kernel):
+    """Every step of `iterates` inside the block takes the given side."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sysolve, "_GROUPS_PER_TERM", -1 if kernel == "system" else float("inf"))
+        yield
+
+
+@contextmanager
+def kernel_log():
+    """The side each step inside the block takes, in order."""
+    log = []
+    with pytest.MonkeyPatch.context() as mp:
+        for kernel, name in KERNELS.items():
+            fn = getattr(sysolve, name)
+            mp.setattr(sysolve, name, lambda *args, fn=fn, kernel=kernel: log.append(kernel) or fn(*args))
+        yield log
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@given(S.proper_systems(), st.sampled_from(TRUNCS))
+def test_each_kernel_matches_reference_composition(kernel, system, trunc):
+    with forced(kernel), kernel_log() as log:
+        check_iterates(system, trunc, 5)
+    # a system without terms has no groups: 0 > -1 * 0 fails, and the step
+    # takes the iterate side
+    assert set(log) <= {kernel} or system.size == 0
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@AUXILIARY
+def test_each_kernel_matches_reference_on_auxiliary_systems(kernel, maps, trunc, k_max):
+    with forced(kernel), kernel_log() as log:
+        for p in maps:
+            check_iterates(aux_system(p), trunc, k_max)
+    assert set(log) == {kernel}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("trunc", [3, 4, 6, 7])
+@pytest.mark.parametrize(
+    "system",
+    [
+        # at trunc 3 the word z1 x1 z2 drops the partial product z1 x1 z2 x1
+        # before its zero letter z2, though its image is zero and the next
+        # iterate is x1 exactly: `exact` must still turn False
+        ProperAlgebraicSystem((x1 + z1 * x1 * z2, FreePoly.zero())),
+        ProperAlgebraicSystem((x1 + x2 * z1 + z1 * x1 * z2 * z1, FreePoly.zero())),
+        ProperAlgebraicSystem((x1 + x1 * z2 * z1 + x2 * z1 * z1, FreePoly.zero())),
+        # at trunc 7, step 2: a o T_2 expands z2 z2 z1 with z2 -> T_2, of
+        # degree 4, and would flag 8 > 7 before the zero letter; the groups
+        # of T_2 reach degree 6 at most, and so does the reference
+        ProperAlgebraicSystem((FreePoly.zero(), z2 * x2 + x2 * x1**2 + z2**2 * z1)),
+    ],
+    ids=["zero-after-prefix", "zero-inside", "zero-first", "flag-of-the-groups"],
+)
+def test_each_kernel_on_a_system_with_a_zero_component(kernel, system, trunc):
+    with forced(kernel), kernel_log() as log:
+        check_iterates(system, trunc, 5)
+    assert set(log) <= {kernel}
+
+
+def test_the_step_takes_the_system_side_on_many_groups_only():
+    # seed-8 tame map 76 at w = 8: T_2 has 942 (beta, l) groups against 27
+    # terms of the system, T_1 only 22
+    system = aux_system(tame_maps(77)[76])
+    assert system.size == 27
+    with kernel_log() as log:
+        splits = list(islice(iterates(system, 8), 3))
+    assert [sum(map(len, (zwords for _, zwords in s._iterate))) for s in splits[:2]] == [22, 942]
+    assert log == ["iterate", "system"]
+    # the iterates of NILPOTENT keep 2 groups (system: 6 terms) however many
+    # words they hold, those of P_CLASSIC 1 (system: 3 terms)
+    with kernel_log() as log:
+        invert(NILPOTENT, cap=12)
+        invert(P_CLASSIC)
+    assert log and set(log) == {"iterate"}
 
 
 @pytest.mark.parametrize(
