@@ -3,11 +3,17 @@ matrix-valued injectivity test built on them.
 
 A bipartite polynomial is a sum of split terms u (x) v; left factors commute
 past right factors but not among themselves, so the pair-of-words indexing is
-already a normal form.  A key is stored as a pair of encoded words (`str`,
-one code point per letter, as in `freeinv.freealg`), so a key product is two
-byte copies and a key hash combines two cached string hashes; the
-constructor takes and `terms()` returns pairs of letter tuples.  The
-derivative of a polynomial map packs into a square bipartite matrix whose
+already a normal form.  The constructor takes and `terms()` returns pairs of
+letter tuples.  Inside, a key is one `str`: the encoded left word (as in
+`freeinv.freealg`), `SEP` (chr(0), which no letter's code uses), then the
+encoded right word reversed, so a key's degree is its length minus one.  The
+product of (u1, v1) and (u2, v2) then has the key u1 + key(u2, v2) + rev(v1):
+two concatenations around the split of the left factor, and one string hash.
+`_mac` takes its left factor as (u1, rev(v1), coefficient) triples from
+`_left`, which the matrix product and the series inverse build once per left
+entry, not once per product.
+
+The derivative of a polynomial map packs into a square bipartite matrix whose
 invertibility over this ring decides injectivity; a returned inverse is
 always verified by exact multiplication.
 """
@@ -21,6 +27,9 @@ from .freealg import FreePoly, Poly, check_alphabet, decode, encode, encode_lett
 from .jacobian import REASON_TERM_BUDGET, Matrix, poly_matrix_inverse
 from .inverter import check_limits, rigorous_cap
 
+# the separator between a key's two sides; letter codes start at chr(1)
+SEP = "\x00"
+
 
 class NotHyporealization(ValueError):
     """The system is not z-affine linear (or not proper)."""
@@ -30,17 +39,25 @@ class BipartitePoly(Poly):
     """Finite sum of (left word, right word) pairs with exact coefficients."""
 
     __slots__ = ()
-    _ONE_KEY = ("", "")
-    _key_degree = staticmethod(lambda k: len(k[0]) + len(k[1]))
-    _norm_key = staticmethod(lambda k: (encode(k[0]), encode(k[1])))
-    _decode_key = staticmethod(lambda k: (decode(k[0]), decode(k[1])))
+    _ONE_KEY = SEP
+    _key_degree = staticmethod(lambda k: len(k) - 1)
+    _norm_key = staticmethod(lambda k: encode(k[0]) + SEP + encode(k[1])[::-1])
+
+    @staticmethod
+    def _decode_key(k):
+        u, v = k.split(SEP)
+        return decode(u), decode(v[::-1])
+
+    @staticmethod
+    def _left(a):
+        return [(*k.split(SEP), c) for k, c in a.items()]
 
     @staticmethod
     def _mac(out, a, b):
         get, b = out.get, b.items()
-        for (u1, v1), c1 in a.items():
-            for (u2, v2), c2 in b:
-                k = (u1 + u2, v1 + v2)
+        for pre, post, c1 in a:
+            for k2, c2 in b:
+                k = pre + k2 + post
                 prev = get(k)
                 if prev is None:
                     out[k] = c1 * c2
@@ -52,27 +69,9 @@ class BipartitePoly(Poly):
     @classmethod
     def tensor(cls, left: FreePoly, right: FreePoly):
         """Bilinear split product of two free polynomials."""
+        rights = [(SEP + rw[::-1], rc) for rw, rc in right._terms.items()]
         # distinct word pairs give distinct keys; products may need narrowing
-        return cls._summed(
-            {(lw, rw): lc * rc for lw, lc in left._terms.items() for rw, rc in right._terms.items()}
-        )
-
-    def substitute_sides(self, left_images, right_images):
-        """Homomorphism acting independently on the two sides.
-
-        Images are FreePoly values keyed by letter index; the letter kind of
-        each side is preserved structurally by re-tensoring the results.
-        """
-        out = BipartitePoly.zero()
-        for (u, v), c in self.terms():
-            left = FreePoly.one()
-            for (_, idx) in u:
-                left = left * left_images[idx]
-            right = FreePoly.one()
-            for (_, idx) in v:
-                right = right * right_images[idx]
-            out = out + BipartitePoly.tensor(left, right) * c
-        return out
+        return cls._summed({lw + rk: lc * rc for lw, lc in left._terms.items() for rk, rc in rights})
 
     def __str__(self):
         from .parsing import format_bipartite
@@ -107,7 +106,7 @@ def hypo_jacobian(p) -> BipartiteMatrix:
                 pos = w.find(x)
                 if pos >= 0:
                     break
-            grid[j][i][(w[:pos][::-1], w[pos + 1 :])] = c
+            grid[j][i][w[:pos][::-1] + SEP + w[:pos:-1]] = c
     return BipartiteMatrix([[BipartitePoly._raw(cell) for cell in row] for row in grid])
 
 

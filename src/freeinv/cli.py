@@ -272,7 +272,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, polys="poly", cap=False):
-        sp.add_argument("-g", type=int, required=True, help="number of variables/components")
+        sp.add_argument("-g", type=_int_at_least(1), required=True, help="number of variables/components")
         sp.add_argument(polys, nargs="+", help="polynomial components, e.g. \"x2 - x1*x2*x1\"")
         sp.add_argument("--json", action="store_true", help="emit JSON")
         sp.add_argument("--out", help="write output to a file instead of stdout")
@@ -345,7 +345,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("verify", help="check that two maps are exact compositional inverses")
-    sp.add_argument("-g", type=int, required=True)
+    sp.add_argument("-g", type=_int_at_least(1), required=True)
     sp.add_argument("--p", nargs="+", required=True)
     sp.add_argument("--q", nargs="+", required=True)
     sp.add_argument("--json", action="store_true")

@@ -152,13 +152,21 @@ class Poly:
     """A finite key -> nonzero exact coefficient map over a graded key monoid.
 
     Subclasses fix the key algebra through hooks: `_ONE_KEY` (the identity
-    key), `_mac` (the multiply-accumulate kernel: `_mac(out, a, b)` adds the
-    product of the term dicts `a` and `b` into the term dict `out`, key
-    product inlined, zero sums dropped), `_key_degree` (graded degree of a
-    key), `_norm_key` (the stored form of a key given to the constructor) and
-    `_decode_key` (its public form, as `terms()` returns it).  Everything
-    else -- normalisation, constructors, equality, ring arithmetic and graded
-    queries -- is shared.
+    key), `_left` and `_mac` (the multiply-accumulate kernel:
+    `_mac(out, _left(a), b)` adds the product of the term dicts `a` and `b`
+    into the term dict `out`, key product inlined, zero sums dropped; `_left`
+    puts a term dict in the form `_mac` reads its left factor in, so a caller
+    that multiplies one left factor by many right ones prepares it once),
+    `_key_degree` (graded degree of a key), `_norm_key` (the stored form of a
+    key given to the constructor) and `_decode_key` (its public form, as
+    `terms()` returns it).  Everything else -- normalisation, constructors,
+    equality, ring arithmetic and graded queries -- is shared.
+
+    Both rings key a term by one `str`: a `FreePoly` key is its word, and a
+    `BipartitePoly` key is the left word, the separator chr(0) and the right
+    word reversed (see `freeinv.bipartite`).  A prepared left factor is the
+    items view of a `FreePoly` dict, and (left word, reversed right word,
+    coefficient) triples for a `BipartitePoly`.
     """
 
     __slots__ = ("_terms",)
@@ -288,7 +296,7 @@ class Poly:
                 return self.zero()
             return self._raw(_settled({k: c * g for k, c in self._terms.items()}))
         out = {}
-        self._mac(out, self._terms, other._terms)
+        self._mac(out, self._left(self._terms), other._terms)
         return self._raw(_settled(out))
 
     def __rmul__(self, other):
@@ -317,11 +325,13 @@ class FreePoly(Poly):
     _key_degree = staticmethod(len)
     _norm_key = staticmethod(encode)
     _decode_key = staticmethod(decode)
+    # a prepared left factor is the view of its items, no copy
+    _left = staticmethod(dict.items)
 
     @staticmethod
     def _mac(out, a, b):
         get, b = out.get, b.items()
-        for k1, c1 in a.items():
+        for k1, c1 in a:
             for k2, c2 in b:
                 k = k1 + k2
                 prev = get(k)
@@ -436,7 +446,7 @@ class SubstitutionImages:
         if budget == POS_INF:
             if run:
                 image = {iw + run: ic for iw, ic in image.items()}
-            FreePoly._mac(out, image, tail)
+            FreePoly._mac(out, image.items(), tail)
             return len(items[-1][0]) if items else NEG_INF
         if run:
             items = [(iw + run, ic) for iw, ic in items]

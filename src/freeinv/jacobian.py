@@ -108,13 +108,15 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        mac, raw = self.ring._mac, self.ring._raw
+        mac, left, raw = self.ring._mac, self.ring._left, self.ring._raw
         cols = tuple(zip(*other.entries))
         out = [[{} for _ in cols] for _ in self.entries]
         for row, out_row in zip(self.entries, out):
+            # each left entry is prepared once for the whole row of products
+            row = [left(a._terms) for a in row]
             for col, terms in zip(cols, out_row):
                 for a, b in zip(row, col):
-                    mac(terms, a._terms, b._terms)
+                    mac(terms, a, b._terms)
         return type(self)([[raw(_settled(t)) for t in row] for row in out])
 
     def constant_part(self):
@@ -194,9 +196,10 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
 
     Cost is per term product.  A layer is a list of rows {column: term
     dict}.  N is split by degree in one pass over its terms and multiplied by
-    M0^-1 once, A_d = M0^-1 N_d, so that R_m = A_1 R_{m-1} + ... + A_e R_{m-e}
-    is one `_mac` pass into raw dicts, settled once; only the last e layers
-    are kept.  Layers have distinct degrees, so their keys are disjoint: each
+    M0^-1 once, A_d = M0^-1 N_d, and each entry of A_d is prepared as a left
+    factor once (`_left`), so that R_m = A_1 R_{m-1} + ... + A_e R_{m-e} is
+    one `_mac` pass into raw dicts, settled once; only the last e layers are
+    kept.  Layers have distinct degrees, so their keys are disjoint: each
     entry is merged into the total's term dicts once, and the total's
     polynomials are built at the end.
     """
@@ -205,7 +208,7 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
     if degree_cap < 0:
         raise ValueError("degree_cap must be >= 0")
     cls, ring = type(M), M.ring
-    mac, one, key_degree = ring._mac, ring._ONE_KEY, ring._key_degree
+    mac, left, one, key_degree = ring._mac, ring._left, ring._ONE_KEY, ring._key_degree
     n = M.rows
     m0_inv = linalg.inverse(M.constant_part())
     if m0_inv is None:
@@ -220,14 +223,14 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
     if not parts:
         return cls.from_scalars(m0_inv)
     deg_n = max(parts)
-    a_parts = []  # (d, (row, column, term dict) triples of A_d = M0^-1 N_d)
+    a_parts = []  # (d, (row, column, prepared left factor) triples of A_d = M0^-1 N_d)
     for d in sorted(parts):
         cells = {}
         for (l, k), t in parts[d].items():
             for i, inv_row in enumerate(m0_inv):
                 if inv_row[l]:
-                    mac(cells.setdefault((i, k), {}), {one: inv_row[l]}, t)
-        a_parts.append((d, [(i, k, _settled(t)) for (i, k), t in sorted(cells.items()) if t]))
+                    mac(cells.setdefault((i, k), {}), left({one: inv_row[l]}), t)
+        a_parts.append((d, [(i, k, left(_settled(t))) for (i, k), t in sorted(cells.items()) if t]))
     layer = [{j: {one: c} for j, c in enumerate(row) if c} for row in m0_inv]
     # window[-d] is the layer d degrees below the next one; the shared empty
     # rows stand for the zero layers below degree 0 and are never written

@@ -21,10 +21,11 @@ from freeinv import (
     injectivity_test,
     swap_kinds,
 )
-from freeinv.jacobian import REASON_NO_INVERSE_UP_TO_CAP
+from freeinv.jacobian import REASON_NO_INVERSE_UP_TO_CAP, REASON_TERM_BUDGET
 
 import strategies as S
-from corpus import P_CLASSIC, P_SIMPLE, P_THREE, P_TWISTED
+from corpus import NILPOTENT, P_CLASSIC, P_SIMPLE, P_THREE, P_TWISTED
+from test_kernels import Pairs, engine, observe_matrix, r_series_inverse
 
 x1 = FreePoly.letter("x", 1)
 x2 = FreePoly.letter("x", 2)
@@ -174,6 +175,38 @@ def test_injectivity_clipped_is_uncertified():
     assert res.status == "indeterminate" and not res.certified
 
 
+SANDWICH = (x1, x2, x3 - x1 * x3 * x1)
+
+
+@pytest.mark.parametrize(
+    "p, kwargs",
+    [(NILPOTENT, {"cap": 24, "max_terms": 50_000}), (SANDWICH, {"cap": 2000})],
+    ids=["nilpotent-budgeted", "sandwich-capped"],
+)
+def test_injectivity_negative_workload_calls(p, kwargs):
+    # the benchmark's capped and budgeted calls: cut short, so uncertified
+    res = injectivity_test(p, **kwargs)
+    assert (res.status, res.certified, res.cap_used) == ("indeterminate", False, kwargs["cap"])
+
+
+# the layers of NILPOTENT's hypo-Jacobian inverse up to degree m hold
+# 2^(m+3) - 6 terms, so at the budget 2,041 the run exits on layer 8 and at
+# 2,042 on layer 9; at cap 8 the second budget lets the cap end the run
+@pytest.mark.parametrize(
+    "cap, budget, reason",
+    [
+        (24, 2041, REASON_TERM_BUDGET),
+        (24, 2042, REASON_TERM_BUDGET),
+        (8, 2041, REASON_TERM_BUDGET),
+        (8, 2042, REASON_NO_INVERSE_UP_TO_CAP),
+    ],
+)
+def test_nilpotent_series_matches_tuple_key_reference(cap, budget, reason):
+    M = observe_matrix(hypo_jacobian(NILPOTENT))
+    assert r_series_inverse(M, Pairs, cap, budget) == ("none", reason)
+    assert engine(M, Pairs, cap, budget) == ("none", reason)
+
+
 def test_hyporealization_round_trip():
     z2 = FreePoly.letter("z", 2)
     system = ProperAlgebraicSystem((x1, x2 + x1 * z2 * x1))
@@ -221,6 +254,21 @@ def test_not_hyporealization():
         )
 
 
+def substitute_sides(e, left_images, right_images):
+    """The homomorphism acting on each side of e by its own images, keyed by
+    letter index; the sides stay apart by re-tensoring the results."""
+    out = BipartitePoly.zero()
+    for (u, v), c in e.terms():
+        left = FreePoly.one()
+        for _, idx in u:
+            left = left * left_images[idx]
+        right = FreePoly.one()
+        for _, idx in v:
+            right = right * right_images[idx]
+        out = out + bp(left, right) * c
+    return out
+
+
 @given(S.constant_free_maps(g=2, max_len=2, max_terms=2), S.constant_free_maps(g=2, max_len=2, max_terms=2))
 def test_hypo_jacobian_chain_rule(alpha, beta):
     # packed matrices compose like J_{a o b}(z, y) = J_b(z, y) J_a(b^T(z), b(y))
@@ -230,7 +278,5 @@ def test_hypo_jacobian_chain_rule(alpha, beta):
     beta_y = [swap_kinds(comp, "x", "y") for comp in beta]
     left_images = {i + 1: comp.transpose() for i, comp in enumerate(beta_y)}
     right_images = {i + 1: comp for i, comp in enumerate(beta_y)}
-    j_alpha_sub = j_alpha.map_entries(
-        lambda e: e.substitute_sides(left_images, right_images)
-    )
+    j_alpha_sub = j_alpha.map_entries(lambda e: substitute_sides(e, left_images, right_images))
     assert lhs == j_beta * j_alpha_sub

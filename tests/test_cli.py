@@ -192,6 +192,22 @@ def test_numeric_and_shape_input_exit_codes(capsys):
             assert "error" in err and "Traceback" not in err, argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "-g", "0", "--p", "x1", "--q", "x1"],
+        ["verify", "-g", "-1", "--p", "x1", "--q", "x1"],
+        ["invert", "-g", "0", "x1"],
+        ["derive", "-g", "0", "x1"],
+    ],
+)
+def test_g_below_one_is_rejected_as_an_option(capsys, argv):
+    # rejected by the option's own check, before any component is read
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "argument -g: must be >= 1" in err and "components" not in err
+
+
 def test_aux_iterate_term_budget_is_indeterminate(capsys):
     # the budget cuts the Jacobian gate short: no verdict, so exit 3, not 1
     code, out, err = run_cli(

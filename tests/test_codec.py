@@ -1,8 +1,8 @@
 """The stored word form: one code point per letter.
 
-Words are kept as `str` inside `FreePoly` and as pairs of `str` inside
-`BipartitePoly`, and are tuples of (kind, index) letters at the public
-boundary.  These tests check the codec itself and compare the ring product
+Words are kept as `str` inside `FreePoly`, a `BipartitePoly` key is one
+`str` (left word, separator, reversed right word), and both are tuples of
+(kind, index) letters at the public boundary.  These tests check the codec itself and compare the ring product
 and `substitute_tracked` against references on tuple words written here,
 with letters on both sides of the latin-1 edge (index 42 is the last index
 at which every kind has a one-byte code).
@@ -118,15 +118,45 @@ bipartite_keys = st.tuples(
 bipartite_polys = st.dictionaries(bipartite_keys, S.coefficients, max_size=4).map(BipartitePoly)
 
 
-@given(bipartite_polys, bipartite_polys)
-def test_bipartite_product_matches_reference(a, b):
-    expected = collect(
+def bipartite_product(a, b):
+    return collect(
         ((ua + ub, va + vb), ca * cb)
         for (ua, va), ca in a.terms()
         for (ub, vb), cb in b.terms()
     )
-    assert dict((a * b).terms()) == expected
+
+
+@given(bipartite_polys, bipartite_polys)
+def test_bipartite_product_matches_reference(a, b):
+    assert dict((a * b).terms()) == bipartite_product(a, b)
     assert BipartitePoly(dict(a.terms())) == a
+
+
+# one key string holds the left word, the separator and the reversed right
+# word; these keys sit at the edges of that layout
+WIDE = (("k", 50), ("x", 43), ("y", 200))
+EDGE_KEYS = {
+    "unit": ((), ()),
+    "empty-left": ((), (("x", 1), ("y", 2))),
+    "empty-right": ((("y", 1), ("x", 2)), ()),
+    "wide-left": (WIDE, (("x", 1),)),
+    "wide-right": ((("y", 1),), WIDE),
+    "wide-both": (WIDE, WIDE[::-1]),
+}
+
+
+@pytest.mark.parametrize("key", EDGE_KEYS.values(), ids=EDGE_KEYS.keys())
+def test_bipartite_key_layout_edges(key):
+    d = len(key[0]) + len(key[1])
+    b = BipartitePoly({key: 3})
+    assert b.terms() == [(key, 3)]
+    assert BipartitePoly(dict(b.terms())) == b
+    assert b.degree() == d
+    assert b.constant_term() == (3 if d == 0 else 0)
+    assert b.homogeneous_part(d) == b and not b.homogeneous_part(d + 1)
+    every = BipartitePoly({k: i + 1 for i, k in enumerate(EDGE_KEYS.values())})
+    for x, y in ((b, b), (b, every), (every, b)):
+        assert dict((x * y).terms()) == bipartite_product(x, y)
 
 
 # -- substitution against a letter-by-letter reference on tuple words -------
