@@ -53,10 +53,10 @@ class BipartitePoly(Poly):
         return [(*k.split(SEP), c) for k, c in a.items()]
 
     @staticmethod
-    def _mac(out, a, b):
-        get, b = out.get, b.items()
+    def _mac(out, a, pairs):
+        get = out.get
         for pre, post, c1 in a:
-            for k2, c2 in b:
+            for k2, c2 in pairs:
                 k = pre + k2 + post
                 prev = get(k)
                 if prev is None:

@@ -62,14 +62,6 @@ class ArityMismatch(ValueError):
     """A letter falls outside the declared alphabet of an operation."""
 
 
-def letter(kind: str, index: int):
-    if kind not in _KIND_RANK:
-        raise ValueError(f"unknown letter kind {kind!r}")
-    if index < 1:
-        raise ValueError("letter index must be >= 1")
-    return (kind, index)
-
-
 # -- the word codec (see the module docstring) ----------------------------------
 #
 # Both directions are memoised in dicts that start empty and fill with the
@@ -153,10 +145,11 @@ class Poly:
 
     Subclasses fix the key algebra through hooks: `_ONE_KEY` (the identity
     key), `_left` and `_mac` (the multiply-accumulate kernel:
-    `_mac(out, _left(a), b)` adds the product of the term dicts `a` and `b`
-    into the term dict `out`, key product inlined, zero sums dropped; `_left`
-    puts a term dict in the form `_mac` reads its left factor in, so a caller
-    that multiplies one left factor by many right ones prepares it once),
+    `_mac(out, _left(a), pairs)` adds the product of the term dict `a` and
+    the terms given as (key, coefficient) `pairs` into the term dict `out`,
+    key product inlined, zero sums dropped; `_left` puts a term dict in the
+    form `_mac` reads its left factor in, so a caller that multiplies one
+    left factor by many right ones prepares it once),
     `_key_degree` (graded degree of a key), `_norm_key` (the stored form of a
     key given to the constructor) and `_decode_key` (its public form, as
     `terms()` returns it).  Everything else -- normalisation, constructors,
@@ -296,7 +289,7 @@ class Poly:
                 return self.zero()
             return self._raw(_settled({k: c * g for k, c in self._terms.items()}))
         out = {}
-        self._mac(out, self._left(self._terms), other._terms)
+        self._mac(out, self._left(self._terms), other._terms.items())
         return self._raw(_settled(out))
 
     def __rmul__(self, other):
@@ -329,10 +322,10 @@ class FreePoly(Poly):
     _left = staticmethod(dict.items)
 
     @staticmethod
-    def _mac(out, a, b):
-        get, b = out.get, b.items()
+    def _mac(out, a, pairs):
+        get = out.get
         for k1, c1 in a:
-            for k2, c2 in b:
+            for k2, c2 in pairs:
                 k = k1 + k2
                 prev = get(k)
                 if prev is None:
@@ -344,7 +337,7 @@ class FreePoly(Poly):
 
     @classmethod
     def letter(cls, kind: str, index: int):
-        return cls._raw({encode_letter(letter(kind, index)): 1})
+        return cls._raw({encode_letter((kind, index)): 1})
 
     @classmethod
     def monomial(cls, w, coeff=1):
@@ -394,8 +387,8 @@ class FreePoly(Poly):
 
 class SubstitutionImages:
     """Substitution images set up once for any number of `substitute_tracked`
-    calls: keyed by encoded letter, each image's terms (also as a list,
-    shortest first), the letters whose image is zero, and the suffix memo.
+    calls: keyed by encoded letter, each image's terms as a list, shortest
+    first, the letters whose image is zero, and the suffix memo.
 
     The memo maps a word s whose first and last letters are bound (have an
     image) to (b, deg, terms): the terms of the image of s truncated at
@@ -414,10 +407,10 @@ class SubstitutionImages:
     images and with the results they are handed out as.
     """
 
-    __slots__ = ("terms", "items", "zeros", "memo", "_patterns")
+    __slots__ = ("items", "zeros", "memo", "_patterns")
 
     def __init__(self, images):
-        self.terms = terms = {encode_letter(let): img._terms for let, img in images.items()}
+        terms = {encode_letter(let): img._terms for let, img in images.items()}
         self.items = items = {let: [(w, t[w]) for w in sorted(t, key=len)] for let, t in terms.items()}
         self.zeros = {let for let, t in terms.items() if not t}
         self.memo = {let: (POS_INF, len(items[let][-1][0]) if t else NEG_INF, t) for let, t in terms.items()}
@@ -428,7 +421,7 @@ class SubstitutionImages:
         its core from the first to the last bound letter or None, and its
         unbound tail), compiled on first use."""
         if self._patterns is None:
-            chars = re.escape("".join(self.terms))
+            chars = re.escape("".join(self.items))
             bound, free = (f"[{chars}]", f"[^{chars}]") if chars else ("(?!)", ".")
             self._patterns = (
                 re.compile(bound).search,
@@ -439,15 +432,7 @@ class SubstitutionImages:
     def _times(self, a, run, tail, budget, out):
         """out += (image of the letter a) * run * tail, truncated at budget;
         an unbound a is its own image.  Returns the image degree of a."""
-        if a in self.terms:
-            image, items = self.terms[a], self.items[a]
-        else:
-            image, items = {a: 1}, ((a, 1),)
-        if budget == POS_INF:
-            if run:
-                image = {iw + run: ic for iw, ic in image.items()}
-            FreePoly._mac(out, image.items(), tail)
-            return len(items[-1][0]) if items else NEG_INF
+        items = self.items.get(a, ((a, 1),))
         if run:
             items = [(iw + run, ic) for iw, ic in items]
         get = out.get
@@ -482,7 +467,7 @@ class SubstitutionImages:
         # it dropped nothing (its degree fits under its budget)
         if entry is not None and (entry[0] >= budget or entry[1] <= entry[0]):
             return entry
-        bound = self.terms
+        bound = self.items
         # walk right through the suffixes the memo cannot serve, down to one
         # it can (at the latest the last letter), then build them back
         chain = []
@@ -506,7 +491,7 @@ class SubstitutionImages:
         letters' image degrees.  The image is head * (image of core) * tail,
         where head and tail are the unbound letters before the first and
         after the last bound one."""
-        bound = self.terms
+        bound = self.items
         if w and w[0] in bound and w[-1] in bound:
             head = tail = EMPTY_WORD
             core = w
@@ -576,16 +561,7 @@ class SubstitutionImages:
                         img, wdeg = self.word_image(w, budget)
                     if wdeg > deg:
                         deg = wdeg
-                    get = out.get
-                    for tw, tc in img.items():
-                        tc *= coeff
-                        prev = get(tw)
-                        if prev is None:
-                            out[tw] = tc
-                        elif tc := prev + tc:
-                            out[tw] = tc
-                        else:
-                            del out[tw]
+                    FreePoly._mac(out, ((EMPTY_WORD, coeff),), img.items())
                     i = j
                     continue
                 frame[5:] = deg, j, a

@@ -116,7 +116,7 @@ class Matrix:
             row = [left(a._terms) for a in row]
             for col, terms in zip(cols, out_row):
                 for a, b in zip(row, col):
-                    mac(terms, a, b._terms)
+                    mac(terms, a, b._terms.items())
         return type(self)([[raw(_settled(t)) for t in row] for row in out])
 
     def constant_part(self):
@@ -229,7 +229,7 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
         for (l, k), t in parts[d].items():
             for i, inv_row in enumerate(m0_inv):
                 if inv_row[l]:
-                    mac(cells.setdefault((i, k), {}), left({one: inv_row[l]}), t)
+                    mac(cells.setdefault((i, k), {}), left({one: inv_row[l]}), t.items())
         a_parts.append((d, [(i, k, left(_settled(t))) for (i, k), t in sorted(cells.items()) if t]))
     layer = [{j: {one: c} for j, c in enumerate(row) if c} for row in m0_inv]
     # window[-d] is the layer d degrees below the next one; the shared empty
@@ -245,7 +245,7 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
             for i, k, e in triples:
                 acc_row = acc[i]
                 for j, r in below[k].items():
-                    mac(acc_row.setdefault(j, {}), e, r)
+                    mac(acc_row.setdefault(j, {}), e, r.items())
         layer = [{j: _settled(t) for j, t in row.items() if t} for row in acc]
         window.append(layer)
         if not any(layer):
@@ -287,13 +287,7 @@ def auxiliary_inverse(p, j_inv: PolyMatrix):
         raise ValueError("auxiliary inverse requires a map without constant term")
     to_z = {("x", i + 1): ("z", i + 1) for i in range(g)}
     jz = j_inv.map_entries(lambda e: rename_letters(e, to_z))
-    components = []
-    for i in range(g):
-        acc = FreePoly.zero()
-        for s in range(g):
-            acc = acc + FreePoly.letter("x", s + 1) * jz[s][i]
-        components.append(acc)
-    system = ProperAlgebraicSystem(tuple(components))
+    system = ProperAlgebraicSystem(reconstruct((0,) * g, jz))
     if not check_proper(system):
         raise ValueError("auxiliary inverse failed the proper-system invariants")
     return system

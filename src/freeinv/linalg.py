@@ -54,10 +54,6 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def is_zero(a):
-    return all(not e for row in a for e in row)
-
-
 def kron(a, b):
     """Kronecker product."""
     bn = len(b)

@@ -322,25 +322,6 @@ def _split_expansion(terms, ell, first_z):
     return list(buckets.items()), list(groups.items())
 
 
-def _add(target, us, part):
-    """target += sum of us[u] * c * (u t) over u and (t, c) in part, dropping
-    zero sums."""
-    get = target.get
-    for u, c in us.items():
-        for t, tc in part:
-            w = u + t
-            v = c * tc
-            prev = get(w)
-            if prev is None:
-                target[w] = v
-            else:
-                v += prev
-                if v:
-                    target[w] = v
-                else:
-                    del target[w]
-
-
 def _step(system, iterate, trunc, expansions, first_z):
     """One composition step on the factored iterate T_k: T_{k+1} truncated at
     trunc, and whether a word was dropped, in the iterate side's meaning
@@ -405,6 +386,7 @@ def _into_iterate(images, iterate, trunc, expansions, first_z):
     dict, which is split by first z-letter once all products (which often
     merge) are in.
     """
+    mac = FreePoly._mac
     out = []
     dropped = False
     for free, zwords in iterate:
@@ -427,15 +409,15 @@ def _into_iterate(images, iterate, trunc, expansions, first_z):
             terms, d, split = entry
             dropped = dropped or d
             if len(us) < _WIDE:
-                _add(flat, us, terms)
+                mac(flat, us.items(), terms)
                 continue
             if split is None:
                 split = entry[2] = _split_expansion(terms, key[1], first_z)
             buckets, groups = split
             for n, part in buckets:
-                _add(bucket(n), us, part)
+                mac(bucket(n), us.items(), part)
             for target, part in groups:
-                _add(new_zwords.setdefault(target, {}), us, part)
+                mac(new_zwords.setdefault(target, {}), us.items(), part)
         _file(flat, bucket, new_zwords, first_z)
         for n in written:
             if free[n]:
@@ -447,8 +429,10 @@ def _into_iterate(images, iterate, trunc, expansions, first_z):
 
 
 # groups with fewer prefixes than this take the flat route in
-# `_into_iterate`; 2, 4 and 8 timed alike within noise on the benchmark
-# workloads
+# `_into_iterate`.  Both routes pay for themselves on the benchmark's
+# workloads (CPython 3.11, 2-core VM, in process, summed invert time): with
+# the flat route only, the negative invert jobs ran 2.5x slower, and with the
+# wide route only, the tame invert jobs ran 12-13 % slower (over 30 % at p90)
 _WIDE = 4
 
 # `_step` takes a o T_k when T_k has more (beta, l) groups than this many per

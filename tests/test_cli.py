@@ -74,6 +74,16 @@ def test_eval_command(capsys):
     assert json.loads(out) == [["0", "1"], ["0", "0"]]
 
 
+def test_eval_reads_the_point_from_a_file(tmp_path, capsys):
+    point = '[[["0","1"],["0","0"]],[["1","0"],["0","2"]]]'
+    at_file = tmp_path / "point.json"
+    at_file.write_text(point)
+    code, from_file, _ = run_cli(capsys, "eval", "-g", "2", "x1*x2", "x2 - x1", "--at-file", str(at_file))
+    assert code == 0
+    code, inline, _ = run_cli(capsys, "eval", "-g", "2", "x1*x2", "x2 - x1", "--at", point)
+    assert code == 0 and from_file and from_file == inline
+
+
 def test_verify_command(capsys):
     code, _, _ = run_cli(
         capsys, "verify", "-g", "2", "--p", "x1", "x2 - x1^2", "--q", "x1", "x2 + x1^2"
@@ -176,6 +186,13 @@ NUMERIC_INPUT_CASES = [
     (["eval", "-g", "1", "x1", "--at", "[1]"], 2),
     (["eval", "-g", "1", "x1", "--at", '[[["1/0"]]]'], 2),
     (["invert", "-g", "1", "1/0*x1"], 2),
+    # a map with a constant term, a Jacobian that is not invertible, a
+    # clipped negative, and eval without a point or with too few matrices
+    (["aux-iterate", "-g", "2", "-k", "2", "x1 + 1", "x2"], 2),
+    (["aux-iterate", "-g", "2", "-k", "2", "x1 - x1^2", "x2"], 1),
+    (["check-injective", "-g", "2", "--cap", "4", "x1", "x2 - x1*x2*x1"], 3),
+    (["eval", "-g", "2", "x1", "x2"], 2),
+    (["eval", "-g", "2", "x1", "x2", "--at", '[[["1"]]]'], 2),
     # the smallest accepted values still run
     (["invert", "-g", "2", "x1", "x2 - x1^2", "--max-terms", "0"], 0),
     (["invert", "-g", "2", "x1", "x2 - x1*x2*x1", "--cap", "0"], 3),

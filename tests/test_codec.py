@@ -60,6 +60,9 @@ def test_encode_rejects_non_letters(bad):
         encode([bad])
     with pytest.raises(ValueError):
         FreePoly({(bad,): 1})
+    if len(bad) == 2:
+        with pytest.raises(ValueError):
+            FreePoly.letter(*bad)
 
 
 # -- the public boundary -----------------------------------------------------
