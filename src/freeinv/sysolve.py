@@ -29,9 +29,9 @@ iterates:
   every word u beta.  Only z-letters have images, so the image of u beta is
   u times the image of beta, and its truncation at W is u times the image of
   beta truncated at W - l.  The step expands each (beta, l) by one call of
-  `substitute_tracked` on the word beta, keeps the expansion for the rest of
-  the pass, and accumulates the products u tau over its groups.  Its cost
-  grows with the number of groups.
+  `substitute_tracked` on the word beta, which reads that image tau from the
+  system's image memo, keeps no cache of its own, and accumulates the
+  products u tau over its groups.  Its cost grows with the number of groups.
 - The system side, a o T_k, flattens T_k, sets its components up as the
   images of z1..zh and substitutes them into the system, one call of
   `substitute_tracked` per component: Horner's rule over the few short words
@@ -53,17 +53,17 @@ throughout (0.037 s, against 0.228 s for the system side alone).  The rule
 reads two counts the step already has, so choosing costs one length per
 component.
 
-The `dropped` flag of a step has one meaning on both sides, the iterate
-side's: for a group (beta, l) it is deg(beta) > W - l, exactly when the
-untruncated image of u beta has a word longer than W, where deg(beta) sums
-the top degrees of the images of its letters; at a letter with a zero image
-it is deg of the part before that letter > W - l.  The system side computes
-it from T_k's groups in the same way, not from its own expansion, whose flag
-weighs a word of a by the top degrees of T_k's components: the two flags are
-flags of two different expansions of the same composite, and before a zero
-letter they can differ (`tests/test_sysolve.py` pins such a system).  So
-`exact`, every split, every loop index and every `cap_used` are the same
-whichever side a step takes.
+The `dropped` flag of a step is read off T_k's groups, whichever side
+computes the step: for a group (beta, l) it is deg(beta) > W - l, exactly
+when the untruncated image of u beta has a word longer than W, where
+deg(beta) sums the top degrees of the images of its letters; at a letter
+with a zero image it is deg of the part before that letter > W - l.  It is
+not read off the system side's expansion, whose flag weighs a word of a by
+the top degrees of T_k's components: the two flags come from two
+different ways of expanding the same composite, and before a zero letter
+they can differ (`tests/test_sysolve.py` pins such a system).  So `exact`,
+every split, every loop index and every `cap_used` are the same whichever
+side a step takes.  Once a pass is inexact, no flag is computed.
 
 The system's components are set up once as one `SubstitutionImages`
 (`ProperAlgebraicSystem.images`), whose memo keeps the image of each z-word
@@ -73,10 +73,9 @@ expansion therefore serves every l, every later iterate-side step and every
 later pass of `iterates` on the same system at an equal or smaller budget,
 by a length filter, and at any budget once it dropped nothing; only a larger
 budget rebuilds it.  A suffix through a zero component expands to
-nothing, and the degrees of its letters alone settle its `dropped` flag;
-the system x J^-1(z) of the inversion driver never has a zero component,
-because J^-1(0) is invertible.  A system-side step builds an image set of
-its own, which lives for that step.
+nothing; the system x J^-1(z) of the inversion driver never has a zero
+component, because J^-1(0) is invertible.  A system-side step builds an
+image set of its own, which lives for that step.
 
 Finality.  The z-free words a step adds are images of z-words, which have
 length >= floor, and substitution never shortens a word; so the buckets
@@ -297,15 +296,6 @@ def _words(free, zwords, cut=0):
     return terms
 
 
-def _expand(images, beta, ell, trunc):
-    """The image tau of the z-suffix beta truncated at trunc - l, as
-    [tau's (word, coeff) pairs, whether a word was dropped, None]; the last
-    slot is for `_split_expansion`.  The pairs are a view of tau's terms,
-    which may be a memo entry's: they are only read."""
-    tau, dropped = substitute_tracked(FreePoly._raw({beta: 1}), images, default_identity=True, trunc=trunc - ell)
-    return [tau._terms.items(), dropped, None]
-
-
 def _split_expansion(terms, ell, first_z):
     """tau's terms by target: (l + |t| -> [(t, coeff)] for the z-free terms,
     (suffix from the first z-letter, l + |prefix|) -> [(prefix, coeff)] for
@@ -322,29 +312,25 @@ def _split_expansion(terms, ell, first_z):
     return list(buckets.items()), list(groups.items())
 
 
-def _step(system, iterate, trunc, expansions, first_z):
+def _step(system, iterate, trunc, first_z):
     """One composition step on the factored iterate T_k: T_{k+1} truncated at
-    trunc, and whether a word was dropped, in the iterate side's meaning
-    whichever side computes it.  The step takes the system side, a o T_k,
-    when T_k has more than `_GROUPS_PER_TERM` (beta, l) groups per term of
-    the system a, and the iterate side, T_k o a, otherwise: the system side
-    expands each of a's few words once, the iterate side each group once.
-    The module docstring gives the per-step timings behind the rule; the
-    term count of a is kept by the system, so choosing costs one length per
-    component."""
+    trunc.  The step takes the system side, a o T_k, when T_k has more than
+    `_GROUPS_PER_TERM` (beta, l) groups per term of the system a, and the
+    iterate side, T_k o a, otherwise: the system side expands each of a's few
+    words once, the iterate side each group once.  The module docstring gives
+    the per-step timings behind the rule; the term count of a is kept by the
+    system, so choosing costs one length per component."""
     groups = 0
     for _, zwords in iterate:
         groups += len(zwords)
     if groups > _GROUPS_PER_TERM * system.size:
         return _into_system(system, iterate, trunc, first_z)
-    return _into_iterate(system.images, iterate, trunc, expansions, first_z)
+    return _into_iterate(system.images, iterate, trunc, first_z)
 
 
 def _into_system(system, iterate, trunc, first_z):
     """a o T_k: the components of T_k substituted into the z-slots of the
-    system, one `substitute_tracked` call per component.  Its `dropped` is
-    the one `_into_iterate` reports, read off the groups of T_k by
-    `_group_dropped`, not off this expansion (see the module docstring)."""
+    system, one `substitute_tracked` call per component."""
     images = SubstitutionImages(
         {("z", j + 1): FreePoly._raw(_words(*part)) for j, part in enumerate(iterate)}
     )
@@ -355,11 +341,7 @@ def _into_system(system, iterate, trunc, first_z):
         zwords = {}
         _file(result._terms, lambda n: free.setdefault(n, {}), zwords, first_z)
         out.append((free, zwords))
-    excess, zero = system.growth
-    dropped = any(
-        _group_dropped(beta, trunc - ell, excess, zero) for _, zwords in iterate for beta, ell in zwords
-    )
-    return tuple(out), dropped
+    return tuple(out)
 
 
 def _group_dropped(beta, room, excess, zero):
@@ -373,22 +355,21 @@ def _group_dropped(beta, room, excess, zero):
     return len(beta) + sum(beta.count(a) * e for a, e in excess) > room
 
 
-def _into_iterate(images, iterate, trunc, expansions, first_z):
+def _into_iterate(images, iterate, trunc, first_z):
     """T_k o a: the base system (as z-slot `images`) substituted into the
     z-slots of every group of T_k.
 
-    Each (beta, l) group expands beta once per pass, truncated at
-    trunc - l, and `expansions` keeps that expansion (and its split) for the
-    pass; the image set's memo keeps the image of beta across l, steps and
-    passes.  A group with many prefixes u writes u tau straight into its
-    target buckets and groups.  A group with few would pay a target lookup
-    per term of tau for one or two products, so its words go to one flat
-    dict, which is split by first z-letter once all products (which often
-    merge) are in.
+    Each (beta, l) group expands beta, truncated at trunc - l, by one call of
+    `substitute_tracked` on the word beta, which reads the image from the
+    image set's memo; the memo keeps it across l, steps and passes, and the
+    step keeps no cache of its own.  A group with many prefixes u writes
+    u tau straight into its target buckets and groups.  A group with few
+    would pay a target lookup per term of tau for one or two products, so its
+    words go to one flat dict, which is split by first z-letter once all
+    products (which often merge) are in.
     """
     mac = FreePoly._mac
     out = []
-    dropped = False
     for free, zwords in iterate:
         free = dict(free)
         written = set()
@@ -402,18 +383,13 @@ def _into_iterate(images, iterate, trunc, expansions, first_z):
 
         new_zwords = {}
         flat = {}
-        for key, us in zwords.items():
-            entry = expansions.get(key)
-            if entry is None:
-                entry = expansions[key] = _expand(images, *key, trunc)
-            terms, d, split = entry
-            dropped = dropped or d
+        for (beta, ell), us in zwords.items():
+            tau, _ = substitute_tracked(FreePoly._raw({beta: 1}), images, default_identity=True, trunc=trunc - ell)
+            terms = tau._terms.items()
             if len(us) < _WIDE:
                 mac(flat, us.items(), terms)
                 continue
-            if split is None:
-                split = entry[2] = _split_expansion(terms, key[1], first_z)
-            buckets, groups = split
+            buckets, groups = _split_expansion(terms, ell, first_z)
             for n, part in buckets:
                 mac(bucket(n), us.items(), part)
             for target, part in groups:
@@ -425,7 +401,7 @@ def _into_iterate(images, iterate, trunc, expansions, first_z):
             else:
                 del free[n]
         out.append((free, {key: _settled(us) for key, us in new_zwords.items() if us}))
-    return tuple(out), dropped
+    return tuple(out)
 
 
 # groups with fewer prefixes than this take the flat route in
@@ -460,11 +436,13 @@ def iterates(system, trunc: int):
         _file(comp._terms, lambda n: free.setdefault(n, {}), zwords, first_z)
         iterate.append((free, zwords))
     iterate = tuple(iterate)
-    expansions = {}
+    excess, zero = system.growth
     for k in count(1):
         yield IterateSplit(k, iterate, exact)
-        iterate, dropped = _step(system, iterate, trunc, expansions, first_z)
-        exact = exact and not dropped
+        exact = exact and not any(
+            _group_dropped(beta, trunc - ell, excess, zero) for _, zwords in iterate for beta, ell in zwords
+        )
+        iterate = _step(system, iterate, trunc, first_z)
 
 
 def iterate_split(system, k: int, trunc: int) -> IterateSplit:

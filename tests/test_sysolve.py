@@ -24,6 +24,7 @@ from freeinv import (
     substitute,
     sysolve,
 )
+from freeinv.freealg import encode
 from freeinv.inverter import jacobian_gate
 
 import strategies as S
@@ -220,13 +221,29 @@ def test_each_kernel_matches_reference_on_auxiliary_systems(kernel, maps, trunc,
         # degree 4, and would flag 8 > 7 before the zero letter; the groups
         # of T_2 reach degree 6 at most, and so does the reference
         ProperAlgebraicSystem((FreePoly.zero(), z2 * x2 + x2 * x1**2 + z2**2 * z1)),
+        # T_1 has the group (z1 z2, 2) with 4 prefixes: the iterate side's
+        # wide route meets a suffix through the zero component z2
+        ProperAlgebraicSystem((x1 + (x1 + x2) ** 2 * z1 * z2 + x1 * z1, FreePoly.zero())),
     ],
-    ids=["zero-after-prefix", "zero-inside", "zero-first", "flag-of-the-groups"],
+    ids=["zero-after-prefix", "zero-inside", "zero-first", "flag-of-the-groups", "zero-in-a-wide-group"],
 )
 def test_each_kernel_on_a_system_with_a_zero_component(kernel, system, trunc):
     with forced(kernel), kernel_log() as log:
         check_iterates(system, trunc, 5)
     assert set(log) <= {kernel}
+
+
+@given(S.proper_systems())
+def test_group_dropped_is_the_flag_of_the_reference(system):
+    # `exact` is read off T_k's groups by `_group_dropped` alone: for every
+    # z-suffix of the system's words and every room, its flag is the one of
+    # letter-by-letter substitution of that one word
+    images = {("z", j + 1): comp for j, comp in enumerate(system.components)}
+    suffixes = {w[i:] for comp in system for w, _ in comp.terms() for i, (kind, _) in enumerate(w) if kind == "z"}
+    for beta in suffixes:
+        for room in range(9):
+            _, dropped = ref_substitute(FreePoly({beta: 1}), images, True, room)
+            assert sysolve._group_dropped(encode(beta), room, *system.growth) == dropped, (beta, room)
 
 
 def test_the_step_takes_the_system_side_on_many_groups_only():
