@@ -276,7 +276,6 @@ def build_parser():
         sp.add_argument(polys, nargs="+", help="polynomial components, e.g. \"x2 - x1*x2*x1\"")
         sp.add_argument("--json", action="store_true", help="emit JSON")
         sp.add_argument("--out", help="write output to a file instead of stdout")
-        sp.add_argument("--seed", type=int, default=0, help="seed for any sampled checks (reproducibility)")
         if cap:
             sp.add_argument(
                 "--cap",
@@ -318,7 +317,6 @@ def build_parser():
     sp.add_argument("--trunc", type=_int_at_least(1), default=8)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--out")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_solve_system)
 
     sp = sub.add_parser("derive", help="formal directional derivative (direction letters y)")

@@ -22,7 +22,8 @@ image's terms shortest first, the letters with a zero image and a memo of the
 images of words), which `substitute_tracked` builds from a dict when it is
 given one, and one expansion: Horner's rule over the words' shared prefixes,
 with their ends from the memo.  A word with a zero image or an unbound letter
-in it contributes nothing, and its degrees alone tell what it did.
+in it contributes nothing, and its degrees alone
+(`SubstitutionImages.degrees`) tell what it did.
 
 Each stored coefficient has its narrowest exact type (`scalars.exact`): an
 int, else a Fraction, else a GaussianRational.  The constructor narrows every
@@ -407,14 +408,14 @@ class SubstitutionImages:
     images and with the results they are handed out as.
     """
 
-    __slots__ = ("items", "zeros", "memo", "_patterns")
+    __slots__ = ("items", "zeros", "memo", "_patterns", "_degrees")
 
     def __init__(self, images):
         terms = {encode_letter(let): img._terms for let, img in images.items()}
         self.items = items = {let: [(w, t[w]) for w in sorted(t, key=len)] for let, t in terms.items()}
         self.zeros = {let for let, t in terms.items() if not t}
         self.memo = {let: (POS_INF, len(items[let][-1][0]) if t else NEG_INF, t) for let, t in terms.items()}
-        self._patterns = None
+        self._patterns = self._degrees = None
 
     def patterns(self):
         """(search for a bound letter, split of a word into its unbound head,
@@ -428,6 +429,47 @@ class SubstitutionImages:
                 re.compile(f"({free}*)(.*{bound})?(.*)", re.DOTALL).fullmatch,
             )
         return self._patterns
+
+    def degrees(self, w, default_identity):
+        """(low, deg, stop) for the word w: stop is its first stop letter, or
+        None, and low and deg sum, over the letters before it, their images'
+        shortest and longest word lengths (an unbound letter counts 1).
+
+        A stop letter has a zero image, or is unbound without
+        `default_identity`.  A word with one contributes no term to a
+        substitution truncated at trunc.  The image of its part before the
+        stop letter is nonzero exactly when low <= trunc, the free algebra
+        being a domain.  At a zero image the expansion dropped a partial
+        product when deg > trunc.  At an unbound letter it raises
+        `UnboundLetter` when low <= trunc, and otherwise every partial
+        product was pruned, so it dropped one."""
+        if self._degrees is None:
+            items = self.items.items()
+            nonzero = re.escape("".join(a for a, t in items if t))
+            zeros = re.escape("".join(self.zeros))
+            self._degrees = (
+                re.compile(f"[^{nonzero}]" if nonzero else ".", re.DOTALL).search,
+                # no search where no stop letter can occur
+                re.compile(f"[{zeros}]").search if zeros else None,
+                # the letters whose image lengths are not (1, 1)
+                [
+                    (a, len(t[0][0]) - 1, len(t[-1][0]) - 1)
+                    for a, t in items
+                    if t and (len(t[0][0]), len(t[-1][0])) != (1, 1)
+                ],
+            )
+        strict, identity, excess = self._degrees
+        search = identity if default_identity else strict
+        stop = None
+        if search is not None and (m := search(w)):
+            stop = m.group()
+            w = w[: m.start()]
+        low = deg = len(w)
+        for a, dlow, ddeg in excess:
+            n = w.count(a)
+            low += n * dlow
+            deg += n * ddeg
+        return low, deg, stop
 
     def _times(self, a, run, tail, budget, out):
         """out += (image of the letter a) * run * tail, truncated at budget;
@@ -524,7 +566,6 @@ class SubstitutionImages:
             if coeff == 1:
                 return img, deg
             return {tw: coeff * tc for tw, tc in img.items()}, deg
-        memo = self.memo
         items = sorted(terms.items())
         # a frame: the words items[lo:hi] share their first d letters, and
         # out is the image (truncated at budget) of the sum of their ends
@@ -552,13 +593,7 @@ class SubstitutionImages:
                 if j == i + 1:
                     # a single word: out += coeff * (image of its end)
                     w, coeff = items[i]
-                    w = w[d:]
-                    entry = memo.get(w)
-                    if entry is not None and entry[1] <= entry[0] and entry[1] <= budget:
-                        # a whole, complete memo entry (a letter's at least)
-                        img, wdeg = entry[2], entry[1]
-                    else:
-                        img, wdeg = self.word_image(w, budget)
+                    img, wdeg = self.word_image(w[d:], budget)
                     if wdeg > deg:
                         deg = wdeg
                     FreePoly._mac(out, ((EMPTY_WORD, coeff),), img.items())
@@ -603,15 +638,9 @@ def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=Non
     whole image of the prefix, whose top-degree part is nonzero; the first
     prefix with deg > trunc therefore reaches past trunc, whatever cancels.
     So `dropped` is deg > trunc for the largest deg of a live word, whatever
-    the images' constant terms.
-
-    Every other word stops at its first stop letter: a letter whose image is
-    zero, or an unbound letter without `default_identity`; P is the part
-    before it, and the truncated image of P is nonzero exactly when
-    low(P) <= trunc.  The word contributes no term.  At a zero image it
-    dropped a partial product when deg(P) > trunc; at an unbound letter it
-    raises `UnboundLetter` when the image of P is nonzero, and otherwise
-    every partial product was pruned, so it dropped one.
+    the images' constant terms.  Every other word stops at its first stop
+    letter and contributes no term; `SubstitutionImages.degrees` tells what
+    it did.
     """
     if not isinstance(images, SubstitutionImages):
         images = SubstitutionImages(images)
@@ -623,24 +652,13 @@ def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=Non
     else:
         live = {}
         for w, coeff in f._terms.items():
-            low = deg = 0
-            for let in w:
-                items = bound.get(let)
-                if items:
-                    low += len(items[0][0])
-                    deg += len(items[-1][0])
-                elif items is None and default_identity:
-                    low += 1
-                    deg += 1
-                else:
-                    # a stop letter
-                    if items is None and low <= limit:
-                        let = _letter_str(decode_letter(let))
-                        raise UnboundLetter(f"no substitution image for letter {let}")
-                    dropped = dropped or deg > limit
-                    break
-            else:
+            low, deg, stop = images.degrees(w, default_identity)
+            if stop is None:
                 live[w] = coeff
+            elif stop not in bound and low <= limit:
+                raise UnboundLetter(f"no substitution image for letter {_letter_str(decode_letter(stop))}")
+            else:
+                dropped = dropped or deg > limit
     if not live:
         return FreePoly.zero(), dropped
     out, deg = images.image(live, limit)

@@ -56,14 +56,16 @@ component.
 The `dropped` flag of a step is read off T_k's groups, whichever side
 computes the step: for a group (beta, l) it is deg(beta) > W - l, exactly
 when the untruncated image of u beta has a word longer than W, where
-deg(beta) sums the top degrees of the images of its letters; at a letter
-with a zero image it is deg of the part before that letter > W - l.  It is
-not read off the system side's expansion, whose flag weighs a word of a by
-the top degrees of T_k's components: the two flags come from two
-different ways of expanding the same composite, and before a zero letter
-they can differ (`tests/test_sysolve.py` pins such a system).  So `exact`,
-every split, every loop index and every `cap_used` are the same whichever
-side a step takes.  Once a pass is inexact, no flag is computed.
+deg(beta) sums the top degrees of the images of its letters up to the
+first letter with a zero image.  The step reads deg(beta) through
+`SubstitutionImages.degrees` on the system's image set and computes no
+image degree itself.  It is not read off the system side's expansion,
+whose flag weighs a word of a by the top degrees of T_k's components: the
+two flags come from two different ways of expanding the same composite,
+and before a zero letter they can differ (`tests/test_sysolve.py` pins
+such a system).  So `exact`, every split, every loop index and every
+`cap_used` are the same whichever side a step takes.  Once a pass is
+inexact, no flag is computed.
 
 The system's components are set up once as one `SubstitutionImages`
 (`ProperAlgebraicSystem.images`), whose memo keeps the image of each z-word
@@ -89,7 +91,6 @@ next, and its size tells whether it changed.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
@@ -141,17 +142,6 @@ class ProperAlgebraicSystem:
         """The number of terms of all components, which `_step` weighs
         against the iterate's groups."""
         return sum(map(len, self.components))
-
-    @cached_property
-    def growth(self):
-        """How z-suffixes grow under the system, for `_group_dropped`:
-        (letter, top degree of its image - 1) for each z-letter whose image
-        is nonzero and not of degree 1, and a search for the z-letters whose
-        image is zero (None if there are none); letters encoded."""
-        items = self.images.items
-        excess = [(a, len(t[-1][0]) - 1) for a, t in items.items() if t and len(t[-1][0]) != 1]
-        zeros = "".join(a for a, t in items.items() if not t)
-        return excess, (re.compile(f"[{re.escape(zeros)}]").search if zeros else None)
 
     def dz(self):
         return min((c.dz_degree("z") for c in self.components), default=POS_INF)
@@ -283,6 +273,14 @@ def _file(words, bucket, zwords, first_z):
             del target[w]
 
 
+def _factored(terms, first_z):
+    """(free, zwords): the terms of a component filed by `_file`."""
+    free = {}
+    zwords = {}
+    _file(terms, lambda n: free.setdefault(n, {}), zwords, first_z)
+    return free, zwords
+
+
 def _words(free, zwords, cut=0):
     """The terms of a factored component: its z-words and its z-free words
     of length >= cut."""
@@ -337,22 +335,8 @@ def _into_system(system, iterate, trunc, first_z):
     out = []
     for comp in system.components:
         result, _ = substitute_tracked(comp, images, default_identity=True, trunc=trunc)
-        free = {}
-        zwords = {}
-        _file(result._terms, lambda n: free.setdefault(n, {}), zwords, first_z)
-        out.append((free, zwords))
+        out.append(_factored(result._terms, first_z))
     return tuple(out)
-
-
-def _group_dropped(beta, room, excess, zero):
-    """The `dropped` flag of `substitute_tracked` on the z-suffix beta at
-    trunc room: deg(beta) > room, or at a letter with a zero image, deg of
-    the part before it > room (deg: the sum of the letters' top image
-    degrees, an x-letter counting 1; `excess` and `zero` as in
-    `ProperAlgebraicSystem.growth`)."""
-    if zero is not None and (m := zero(beta)):
-        beta = beta[: m.start()]
-    return len(beta) + sum(beta.count(a) * e for a, e in excess) > room
 
 
 def _into_iterate(images, iterate, trunc, first_z):
@@ -427,20 +411,15 @@ def iterates(system, trunc: int):
         system = ProperAlgebraicSystem(system)
     comps = system.components
     first_z = system.images.patterns()[0]
+    degrees = system.images.degrees
     current = tuple(c.truncate(trunc) for c in comps)
     exact = all(len(cur) == len(orig) for cur, orig in zip(current, comps))
-    iterate = []
-    for comp in current:
-        free = {}
-        zwords = {}
-        _file(comp._terms, lambda n: free.setdefault(n, {}), zwords, first_z)
-        iterate.append((free, zwords))
-    iterate = tuple(iterate)
-    excess, zero = system.growth
+    iterate = tuple(_factored(comp._terms, first_z) for comp in current)
     for k in count(1):
         yield IterateSplit(k, iterate, exact)
+        # the flag of each group (beta, l): deg(beta) > trunc - l
         exact = exact and not any(
-            _group_dropped(beta, trunc - ell, excess, zero) for _, zwords in iterate for beta, ell in zwords
+            degrees(beta, True)[1] > trunc - ell for _, zwords in iterate for beta, ell in zwords
         )
         iterate = _step(system, iterate, trunc, first_z)
 

@@ -116,7 +116,7 @@ def test_round_trip_via_cli_strings(capsys):
 
 
 def test_determinism(capsys):
-    args = ["invert", "-g", "2", "x1", "x2 - x1^2", "--json", "--seed", "5"]
+    args = ["invert", "-g", "2", "x1", "x2 - x1^2", "--json"]
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
@@ -223,6 +223,29 @@ def test_g_below_one_is_rejected_as_an_option(capsys, argv):
     assert exit_code(argv) == 2
     err = capsys.readouterr().err
     assert "argument -g: must be >= 1" in err and "components" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invert", "-g", "2", "x1", "x2"],
+        ["jacobian", "-g", "2", "x1", "x2"],
+        ["aux-iterate", "-g", "2", "x1", "x2", "-k", "1"],
+        ["solve-system", "x1 + x1*z1*z1"],
+        ["derive", "-g", "2", "x1*x2"],
+        ["scion", "-g", "2", "x1", "x2"],
+        ["hypojac", "-g", "2", "x1", "x2"],
+        ["check-injective", "-g", "2", "x1", "x2"],
+        ["eval", "-g", "1", "x1", "--at", '[[["1"]]]'],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_is_an_option_of_verify_only(capsys, argv):
+    # only `verify --float` samples a point; every other subcommand runs
+    # without the option and rejects it
+    assert exit_code(argv) == 0
+    assert exit_code([*argv, "--seed", "5"]) == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_aux_iterate_term_budget_is_indeterminate(capsys):

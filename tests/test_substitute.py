@@ -1,5 +1,6 @@
-"""`substitute_tracked` and `dz_degree` checked against letter-by-letter
-references written here, sharing no code with `freeinv.freealg`.
+"""`substitute_tracked`, `SubstitutionImages.degrees` and `dz_degree`
+checked against letter-by-letter references written here, sharing no code
+with `freeinv.freealg`.
 
 The reference expands a word one letter at a time: an unbound letter (under
 `default_identity`) is a one-term image with coefficient 1, every partial
@@ -12,7 +13,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from freeinv import FreePoly, UnboundLetter
-from freeinv.freealg import KINDS, POS_INF, substitute_tracked
+from freeinv.freealg import KINDS, POS_INF, SubstitutionImages, decode_letter, encode, substitute_tracked
 
 import strategies as S
 
@@ -186,6 +187,29 @@ def test_stop_letter_reads_the_low_and_the_top_degree_of_the_prefix():
     images = {("z", 1): x1 + x1**3, ("z", 2): FreePoly.zero()}
     got, expected = run_both(z1 * FreePoly.letter("z", 2), images, False, 2)
     assert got == expected == ({}, True)
+
+
+def ref_degrees(w, images, default_identity):
+    """(low, deg, stop) summed letter by letter up to the first stop letter."""
+    low = deg = 0
+    for let in w:
+        if let in images and images[let]:
+            lengths = [len(iw) for iw, _ in images[let].terms()]
+            low += min(lengths)
+            deg += max(lengths)
+        elif let not in images and default_identity:
+            low += 1
+            deg += 1
+        else:
+            return low, deg, let
+    return low, deg, None
+
+
+@given(S.words(kinds="xz", max_len=8), image_maps, st.booleans())
+def test_degrees_match_letter_by_letter(w, images, default_identity):
+    low, deg, stop = SubstitutionImages(images).degrees(encode(w), default_identity)
+    got = (low, deg, None if stop is None else decode_letter(stop))
+    assert got == ref_degrees(w, images, default_identity)
 
 
 def ref_dz_degree(f, kind):

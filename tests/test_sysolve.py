@@ -235,15 +235,16 @@ def test_each_kernel_on_a_system_with_a_zero_component(kernel, system, trunc):
 
 @given(S.proper_systems())
 def test_group_dropped_is_the_flag_of_the_reference(system):
-    # `exact` is read off T_k's groups by `_group_dropped` alone: for every
-    # z-suffix of the system's words and every room, its flag is the one of
-    # letter-by-letter substitution of that one word
+    # `exact` is read off T_k's groups through `SubstitutionImages.degrees`
+    # alone: for every z-suffix of the system's words and every room,
+    # deg(beta) > room is the flag of letter-by-letter substitution of that
+    # one word
     images = {("z", j + 1): comp for j, comp in enumerate(system.components)}
     suffixes = {w[i:] for comp in system for w, _ in comp.terms() for i, (kind, _) in enumerate(w) if kind == "z"}
     for beta in suffixes:
         for room in range(9):
             _, dropped = ref_substitute(FreePoly({beta: 1}), images, True, room)
-            assert sysolve._group_dropped(encode(beta), room, *system.growth) == dropped, (beta, room)
+            assert (system.images.degrees(encode(beta), True)[1] > room) == dropped, (beta, room)
 
 
 def test_the_step_takes_the_system_side_on_many_groups_only():
