@@ -15,17 +15,20 @@ entry, not once per product.
 
 The derivative of a polynomial map packs into a square bipartite matrix whose
 invertibility over this ring decides injectivity; a returned inverse is
-always verified by exact multiplication.
+always verified by exact multiplication.  `hypo_jacobian` reads that matrix
+off the map's words, one term per letter position, without forming the
+derivative polynomial.  A `Hyporealization` keeps its system and packs the
+linear part Phi of it once, in the same pass that splits off the z-free base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deriv import free_derivative
-from .freealg import FreePoly, Poly, check_alphabet, decode, encode, encode_letter
+from .freealg import FreePoly, Poly, check_alphabet, decode, decode_letter, encode, encode_letter
 from .jacobian import REASON_TERM_BUDGET, Matrix, poly_matrix_inverse
 from .inverter import check_limits, rigorous_cap
+from .sysolve import ProperAlgebraicSystem, check_proper
 
 # the separator between a key's two sides; letter codes start at chr(1)
 SEP = "\x00"
@@ -88,25 +91,24 @@ class BipartiteMatrix(Matrix):
 
 def hypo_jacobian(p) -> BipartiteMatrix:
     """Pack the derivative Dp_i(y)[x] = sum U(y) x_j V(y) into the matrix with
-    entry (j, i) = sum U^T (x) V; unique by x-linearity of the derivative."""
+    entry (j, i) = sum U^T (x) V, one term per letter position of p_i.
+
+    The letter x_{j+1} at position pos of a word w = u x_{j+1} v of p_i is the
+    term rev(u) (x) v of cell (j, i), both sides renamed to y.  A word and a
+    position fix the key, so no two terms meet and no sum is formed."""
     g = len(p)
     check_alphabet(p, g, kinds=("x",))
     grid = [[{} for _ in range(g)] for _ in range(g)]
-    xs = "".join(encode_letter(("x", j + 1)) for j in range(g))
-    ys = "".join(encode_letter(("y", j + 1)) for j in range(g))
-    # the derivative's words carry base letters x and one direction letter y;
-    # in the matrix the base letters become y and the direction x
-    swap = str.maketrans(xs + ys, ys + xs)
+    column = {encode_letter(("x", j + 1)): j for j in range(g)}
+    to_y = str.maketrans({x: encode_letter(("y", j + 1)) for x, j in column.items()})
     for i, comp in enumerate(p):
-        for w, c in free_derivative(comp)._terms.items():
-            w = w.translate(swap)
-            # the word's one x-letter x_j; the word and j fix the key, so no
-            # two words share a cell key
-            for j, x in enumerate(xs):
-                pos = w.find(x)
-                if pos >= 0:
-                    break
-            grid[j][i][w[:pos][::-1] + SEP + w[:pos:-1]] = c
+        for w, c in comp._terms.items():
+            # the word renamed to y and reversed: rev(u) is its last pos
+            # letters and rev(v) its first n - pos - 1
+            n = len(w)
+            rev = w.translate(to_y)[::-1]
+            for pos, x in enumerate(w):
+                grid[column[x]][i][rev[n - pos :] + SEP + rev[: n - pos - 1]] = c
     return BipartiteMatrix([[BipartitePoly._raw(cell) for cell in row] for row in grid])
 
 
@@ -156,74 +158,55 @@ def injectivity_test(p, cap=None, max_terms=None) -> InjectivityOutcome:
 class Hyporealization:
     """A proper system that is z-affine linear: a_i = base_i + sum U z_j V.
 
-    linear[i][j] is a tuple of (coeff, U_word, V_word) triples over the
-    x-alphabet describing the words of component i that contain z_{j+1}.
+    `components` is the system, `base` its z-free part and `phi` its linear
+    part, packed once: phi[j][i] = sum U^T (x) V over the words U z_{j+1} V
+    of component i, with the left side re-tagged to the y-alphabet.
     """
 
+    components: tuple
     base: tuple
-    linear: tuple
+    phi: BipartiteMatrix
 
     @property
     def h(self):
-        return len(self.base)
+        return len(self.components)
 
     @classmethod
     def from_system(cls, system):
-        from .sysolve import check_proper
-
         comps = system.components if hasattr(system, "components") else tuple(system)
         if not check_proper(comps):
             raise NotHyporealization("system is not proper")
         h = len(comps)
+        # z_{j+1} -> j; a proper system has no z-letter beyond z_h
+        zs = {encode_letter(("z", j + 1)): j for j in range(h)}
+        letters = set().union(*(w for comp in comps for w in comp._terms))
+        to_y = str.maketrans({ch: encode_letter(("y", decode_letter(ch)[1])) for ch in letters})
         base = []
-        linear = [[[] for _ in range(h)] for _ in range(h)]
+        grid = [[{} for _ in range(h)] for _ in range(h)]
         for i, comp in enumerate(comps):
-            b_terms = {}
-            for w, c in comp.terms():
-                zpos = [t for t, (k, _) in enumerate(w) if k == "z"]
-                if not zpos:
-                    b_terms[w] = c
+            free = {}
+            for w, c in comp._terms.items():
+                at = [t for t, ch in enumerate(w) if ch in zs]
+                if not at:
+                    free[w] = c
                     continue
-                if len(zpos) > 1:
+                if len(at) > 1:
                     raise NotHyporealization(
                         "a word carries more than one z-letter; the system is not z-affine linear"
                     )
-                t = zpos[0]
-                j = w[t][1]
-                if j > h:
-                    raise NotHyporealization(f"z-index {j} exceeds the component count {h}")
-                linear[i][j - 1].append((c, w[:t], w[t + 1 :]))
-            base.append(FreePoly(b_terms))
-        return cls(
-            tuple(base),
-            tuple(tuple(tuple(cell) for cell in row) for row in linear),
-        )
+                t = at[0]
+                # re-tagging U to y can merge words, so the cell accumulates
+                cell = grid[zs[w[t]]][i]
+                key = w[:t][::-1].translate(to_y) + SEP + w[:t:-1]
+                cell[key] = cell.get(key, 0) + c
+            base.append(FreePoly._raw(free))
+        phi = BipartiteMatrix([[BipartitePoly._summed(cell) for cell in row] for row in grid])
+        return cls(tuple(comps), tuple(base), phi)
 
     def to_system(self):
-        from .sysolve import ProperAlgebraicSystem
-
-        comps = []
-        for i in range(self.h):
-            acc = self.base[i]
-            for j in range(self.h):
-                for c, u, v in self.linear[i][j]:
-                    acc = acc + FreePoly.monomial(u + (("z", j + 1),) + v, c)
-            comps.append(acc)
-        return ProperAlgebraicSystem(tuple(comps))
+        return ProperAlgebraicSystem(self.components)
 
 
 def hypomatrix_rep(real: Hyporealization):
-    """Assemble (base, Phi) with Phi[j][i] = sum U^T (x) V over the z_{j+1} words
-    of component i; the left side is re-tagged to the y-alphabet."""
-    h = real.h
-    x_to_y = lambda let: ("y", let[1])  # noqa: E731
-    grid = [[{} for _ in range(h)] for _ in range(h)]
-    for i in range(h):
-        for j in range(h):
-            cell = grid[j][i]
-            for c, u, v in real.linear[i][j]:
-                key = (tuple(x_to_y(let) for let in u[::-1]), v)
-                prev = cell.get(key)
-                cell[key] = c if prev is None else prev + c
-    phi = BipartiteMatrix([[BipartitePoly(cell) for cell in row] for row in grid])
-    return real.base, phi
+    """The pair (base, Phi) of a hyporealization."""
+    return real.base, real.phi

@@ -33,6 +33,7 @@ from .freealg import (
     decode_letter,
     rename_letters,
 )
+from .sysolve import ProperAlgebraicSystem, check_proper
 
 REASON_SINGULAR_CONSTANT = "singular-constant-term"
 REASON_NO_INVERSE_UP_TO_CAP = "no-polynomial-inverse-up-to-cap"
@@ -279,8 +280,6 @@ def _merge(total, layer):
 
 def auxiliary_inverse(p, j_inv: PolyMatrix):
     """Build the proper algebraic system x * Jinv(z) from a verified inverse Jacobian."""
-    from .sysolve import ProperAlgebraicSystem, check_proper
-
     g = len(p)
     check_alphabet(p, g, kinds=("x",))
     if any(comp.constant_term() for comp in p):

@@ -210,8 +210,10 @@ def _parse_sum(text, term):
 
 
 def _free_term(cur):
+    start = cur.pos
     coeff, word = _term_prefix(cur)
-    if coeff is None and not word:
+    # `x1^0` is a term whose word is empty
+    if cur.pos == start:
         cur.error("expected a term")
     return word, 1 if coeff is None else coeff
 

@@ -2,6 +2,7 @@
 
 import operator
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -16,6 +17,7 @@ from freeinv import (
     ProperAlgebraicSystem,
     bipartite_matrix_inverse,
     compose,
+    free_derivative,
     hypo_jacobian,
     hypomatrix_rep,
     injectivity_test,
@@ -95,6 +97,31 @@ def test_hypo_jacobian_classic():
         ]
     )
     assert hj == expected
+
+
+def ref_hypo_jacobian(p):
+    """The packing through the derivative: swap the base and direction
+    letters of each derivative word, find its one x-letter x_j and slice the
+    word around it into the term rev(U) (x) V of cell (j, i)."""
+    g = len(p)
+    grid = [[{} for _ in range(g)] for _ in range(g)]
+    for i, comp in enumerate(p):
+        for w, c in swap_kinds(free_derivative(comp), "x", "y").terms():
+            (pos,) = [t for t, (kind, _) in enumerate(w) if kind == "x"]
+            cell = grid[w[pos][1] - 1][i]
+            key = (w[:pos][::-1], w[pos + 1 :])
+            assert key not in cell
+            cell[key] = c
+    return BipartiteMatrix([[BipartitePoly(cell) for cell in row] for row in grid])
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda g: st.tuples(*[S.polys(kinds="x", max_index=g, max_len=4, max_terms=4)] * g)
+    )
+)
+def test_hypo_jacobian_matches_derivative_packing(p):
+    assert hypo_jacobian(p) == ref_hypo_jacobian(p)
 
 
 def test_bipartite_inverse_identity():
@@ -252,6 +279,91 @@ def test_not_hyporealization():
         Hyporealization.from_system(
             ProperAlgebraicSystem((x1, x2 + x1 * z2 * z1))
         )
+
+
+def ref_hypomatrix(system):
+    """(base, Phi) through (c, U, V) triples: the triples of each cell in
+    the order of the component's words, then accumulated with U reversed and
+    re-tagged to y."""
+    h = len(system.components)
+    base, linear = [], [[[] for _ in range(h)] for _ in range(h)]
+    for i, comp in enumerate(system.components):
+        free = {}
+        for w, c in comp.terms():
+            at = [t for t, (kind, _) in enumerate(w) if kind == "z"]
+            if not at:
+                free[w] = c
+                continue
+            (t,) = at
+            linear[i][w[t][1] - 1].append((c, w[:t], w[t + 1 :]))
+        base.append(FreePoly(free))
+    grid = [[{} for _ in range(h)] for _ in range(h)]
+    for i in range(h):
+        for j in range(h):
+            cell = grid[j][i]
+            for c, u, v in linear[i][j]:
+                key = (tuple(("y", idx) for _, idx in u[::-1]), v)
+                cell[key] = cell.get(key, 0) + c
+    return tuple(base), BipartiteMatrix([[BipartitePoly(cell) for cell in row] for row in grid])
+
+
+@st.composite
+def z_affine_systems(draw):
+    """Proper systems over the kinds x, y, w and z1..zh whose words are
+    z-free or u z_j v, with a few words u z_j v z_k t mixed in.  A word
+    u z_j v often comes with a twin that differs from it only in the kinds
+    of u, and with the opposite coefficient half the time, so that re-tagging
+    u to y merges the two and may cancel them."""
+    h = draw(st.integers(1, 3))
+    side = S.words(kinds="xyw", max_index=2, max_len=2)
+    z = st.integers(1, h).map(lambda j: (("z", j),))
+    shape = st.tuples(side, z, side).filter(lambda t: t[0] or t[2])
+    two_z = st.tuples(side, z, side, z, side).map(lambda t: sum(t, ()))
+    free = S.words(kinds="xyw", max_index=2, max_len=3).filter(bool)
+    kind_draws = st.sampled_from("xyw")
+    with_two_z = draw(st.booleans())
+    comps = []
+    for _ in range(h):
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            pick = draw(st.integers(0, 3 if with_two_z else 2))
+            c = draw(S.coefficients)
+            if pick == 0:
+                terms[draw(free)] = c
+            elif pick == 3:
+                terms[draw(two_z)] = c
+            else:
+                u, zj, v = draw(shape)
+                terms[u + zj + v] = c
+                if draw(st.booleans()):
+                    kinds = draw(st.lists(kind_draws, min_size=len(u), max_size=len(u)))
+                    twin = tuple((k, i) for k, (_, i) in zip(kinds, u)) + zj + v
+                    terms[twin] = draw(st.sampled_from([-c, draw(S.coefficients)]))
+        comps.append(FreePoly(terms))
+    return ProperAlgebraicSystem(tuple(comps))
+
+
+@given(z_affine_systems())
+def test_hyporealization_matches_triples_packing(system):
+    two_z = any(sum(kind == "z" for kind, _ in w) > 1 for comp in system for w, _ in comp.terms())
+    if two_z:
+        with pytest.raises(NotHyporealization):
+            Hyporealization.from_system(system)
+        return
+    real = Hyporealization.from_system(system)
+    assert hypomatrix_rep(real) == ref_hypomatrix(system)
+    assert real.to_system() == system
+
+
+def test_hypomatrix_retagging_merges_and_cancels():
+    # U = x1 and U = y1 both re-tag to y1, so the two words meet in one term
+    z2 = FreePoly.letter("z", 2)
+    real = Hyporealization.from_system(ProperAlgebraicSystem((x1, x2 + x1 * z2 - y1 * z2)))
+    base, phi = hypomatrix_rep(real)
+    assert base == (x1, x2) and phi.is_zero()
+    real = Hyporealization.from_system(ProperAlgebraicSystem((x1, x2 + x1 * z2 + y1 * z2)))
+    _, phi = hypomatrix_rep(real)
+    assert phi[1][1] == bp(y1, FreePoly.one()) * 2
 
 
 def substitute_sides(e, left_images, right_images):

@@ -1,5 +1,6 @@
-"""The suffix memo of `SubstitutionImages`, checked against letter-by-letter
-references written here, sharing no code with `freeinv.freealg`.
+"""The suffix memo of `SubstitutionImages`, checked against the
+letter-by-letter reference of `test_substitute`, which shares no code with
+`freeinv.freealg`.
 
 One image set serves many `substitute_tracked` calls, at budgets that rise,
 fall and jump about, so an entry built for one budget is asked for at
@@ -18,44 +19,11 @@ from freeinv import FreePoly, ProperAlgebraicSystem, compose, iterates
 from freeinv.freealg import SubstitutionImages, substitute_tracked
 
 import strategies as S
+from test_substitute import ref_substitute
 
 x1, x2 = FreePoly.letter("x", 1), FreePoly.letter("x", 2)
 z1, z2 = FreePoly.letter("z", 1), FreePoly.letter("z", 2)
 Z = (("z", 1), ("z", 2))
-
-
-def collect(pairs):
-    out = {}
-    for word, c in pairs:
-        out[word] = out.get(word, 0) + c
-    return {word: c for word, c in out.items() if c != 0}
-
-
-def ref_substitute(f, images, default_identity, trunc):
-    """(terms, dropped): each word expanded one letter at a time, every
-    partial product longer than trunc pruned (which sets dropped)."""
-    dropped = False
-    total = []
-    for word, coeff in f.terms():
-        acc = {(): coeff}
-        for let in word:
-            if let in images:
-                choices = list(images[let].terms())
-            else:
-                assert default_identity, "the cases below bind every letter they use"
-                choices = [((let,), 1)]
-            pairs = []
-            for aw, ac in acc.items():
-                for iw, ic in choices:
-                    if trunc is not None and len(aw + iw) > trunc:
-                        dropped = True
-                    else:
-                        pairs.append((aw + iw, ac * ic))
-            acc = collect(pairs)
-            if not acc:
-                break
-        total.extend(acc.items())
-    return collect(total), dropped
 
 
 def run(f, images, default_identity, trunc):

@@ -37,6 +37,21 @@ def test_parse_basic():
     assert parse_poly(" x1 \n + x2 ") == x1 + x2
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("x1^0", FreePoly.one()),
+        ("x2 + x1^0", x2 + 1),
+        ("-x1^0", FreePoly.scalar(-1)),
+        ("2*x1^0", FreePoly.scalar(2)),
+        ("x1^0*x2", x2),
+    ],
+)
+def test_zeroth_power_is_the_empty_word(text, value):
+    # a term that consumed a token is a term, even when its word is empty
+    assert parse_poly(text) == value
+
+
 def test_round_trip_canonical():
     s = "x2 - x1*x2*x1"
     assert format_poly(parse_poly(s)) == s
@@ -104,6 +119,7 @@ def parse_error(parse, text):
         (parse_poly, "x1 +", "expected a term (line 1, col 5)"),
         (parse_poly, "x1 + + x2", "expected a term (line 1, col 6)"),
         (parse_poly, "-", "expected a term (line 1, col 2)"),
+        (parse_poly, "+", "expected a term (line 1, col 2)"),
         (parse_poly, "(1+2i x1", "expected ')' (line 1, col 7)"),
         (parse_poly, "x1 x2", "unexpected token 'x2' (line 1, col 4)"),
         (parse_poly, "x1\n + 2 )", "unexpected token ')' (line 2, col 6)"),
