@@ -194,6 +194,8 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
       exists.  At the rigorous cap this proves none exists; at a smaller cap
       it only says none up to the cap.
     - `max_terms` bounds the terms of the layers of degree <= `degree_cap`.
+    - With no budget, a lone non-unit diagonal block (`_lone_non_unit`)
+      answers as the series would, at once: no inverse up to the cap.
 
     Cost is per term product.  A layer is a list of rows {column: term
     dict}.  N is split by degree in one pass over its terms and multiplied by
@@ -214,6 +216,8 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
     m0_inv = linalg.inverse(M.constant_part())
     if m0_inv is None:
         return NotPolyInvertible(REASON_SINGULAR_CONSTANT, degree_cap)
+    if max_terms is None and _lone_non_unit(M.entries, one):
+        return NotPolyInvertible(REASON_NO_INVERSE_UP_TO_CAP, degree_cap)
     # N = M0 - M by degree: parts[d][(i, k)] is the term dict of N_d[i][k]
     parts = {}
     for i, row in enumerate(M.entries):
@@ -265,6 +269,50 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
     if M * R == ident and R * M == ident:
         return R
     return NotPolyInvertible(REASON_NO_INVERSE_UP_TO_CAP, degree_cap)
+
+
+def _lone_non_unit(entries, one):
+    """Is some diagonal entry M[i][i] non-constant while i lies on no cycle
+    of the off-diagonal pattern (i -> k when M[i][k] != 0, k != i)?  Then M
+    has no polynomial inverse.
+
+    Proof.  Such an i is a 1x1 diagonal block of the block-triangular form:
+    order the strongly connected components of the pattern topologically
+    and permute rows and columns alike.  A block-triangular M is invertible
+    only if each diagonal block is: from [[A, B], [0, D]] * [[P, Q], [R, S]]
+    = I, D*S = I; both rings are stably finite, so S*D = I, then D*R = 0
+    gives R = 0 and A*P = I, and induction on the blocks does the rest.
+    The free ring is stably finite because it embeds in a skew field
+    (Cohn, Free Ideal Rings and Localization, 2006); the bipartite ring is
+    the monoid algebra of F+_x x F+_y, which sits in the group algebra of
+    the bi-orderable group F x F and so in a Malcev-Neumann division ring.
+    A 1x1 block is invertible only if it is a unit, and a unit of either
+    ring is a nonzero constant: both monoids are totally ordered compatibly
+    with the product, so the leading term of a product is the product of
+    the leading terms, and a unit has degree 0.  A zero or constant-free
+    lone diagonal entry makes M0 singular, so only non-constant entries
+    with a nonzero constant reach here, and these are not units.
+
+    With M0 invertible the formal inverse then exists but is not a
+    polynomial, so the series has a nonzero layer past every cap: the
+    answer is the one the series gives whenever it finishes.
+    """
+    lone = [i for i, row in enumerate(entries) if len(row[i]._terms) > (one in row[i]._terms)]
+    if not lone:
+        return False
+    succ = [[k for k, e in enumerate(row) if e and k != i] for i, row in enumerate(entries)]
+    for i in lone:
+        seen, stack = set(), list(succ[i])
+        while stack:
+            k = stack.pop()
+            if k == i:
+                break
+            if k not in seen:
+                seen.add(k)
+                stack.extend(succ[k])
+        else:
+            return True
+    return False
 
 
 def _merge(total, layer):

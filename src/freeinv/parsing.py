@@ -219,10 +219,12 @@ def _free_term(cur):
 
 
 def _bipartite_term(cur):
+    start = cur.pos
     coeff, left = _term_prefix(cur)
     kind, val, _ = cur.peek()
     if not (kind == "op" and val == "(x)"):
-        if coeff is None and not left:
+        # `y1^0` is a left side whose word is empty
+        if cur.pos == start:
             cur.error("expected a bipartite term")
         if coeff == 0 and not left:
             # the zero polynomial, as `format_bipartite` writes it

@@ -1,6 +1,7 @@
 """Bipartite ring, packed-derivative matrices, hypomatrix representations."""
 
 import operator
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -203,6 +204,21 @@ def test_injectivity_clipped_is_uncertified():
 
 
 SANDWICH = (x1, x2, x3 - x1 * x3 * x1)
+
+
+@pytest.mark.parametrize(
+    "p, cap",
+    [((x1 - x1**2, x2, x3), 5832), (SANDWICH, 11664)],
+    ids=["triangular", "sandwich"],
+)
+def test_injectivity_rigorous_lone_block_settles_at_once(p, cap):
+    # each hypo-Jacobian has a lone diagonal block that is no unit, so the
+    # unbudgeted rigorous test needs no series (on the first map the series
+    # exhausts memory)
+    start = time.perf_counter()
+    res = injectivity_test(p)
+    assert time.perf_counter() - start < 1
+    assert (res.status, res.certified, res.cap_used) == ("not-injective", True, cap)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Degree-bound arithmetic and the inversion decision procedure."""
 
 import random
+import time
 
 import pytest
 
@@ -166,6 +167,19 @@ def test_invert_one_var_jacobian_gate():
     out = invert(P_ONEVAR)
     assert out.outcome == OUTCOME_NOT_INJECTIVE
     assert out.reason == REASON_JACOBIAN_NOT_POLY_INVERTIBLE
+
+
+@pytest.mark.parametrize("g", [2, 3], ids=["g2", "g3"])
+def test_invert_triangular_gate_settles_at_once(g):
+    # J[0][0] = 1 - x1 + x2 is a lone diagonal block that is no unit (J[0]
+    # is zero off the diagonal), so the unbudgeted gate needs no series (run
+    # to its rigorous cap, the series exhausts memory)
+    x = [FreePoly.letter("x", i) for i in range(1, g + 1)]
+    p = (x[0] - (x[0] - x[1]) ** 2, *x[1:])
+    start = time.perf_counter()
+    out = invert(p)
+    assert time.perf_counter() - start < 1
+    assert (out.outcome, out.reason) == (OUTCOME_NOT_INJECTIVE, REASON_JACOBIAN_NOT_POLY_INVERTIBLE)
 
 
 def test_invert_singular_linear_part():

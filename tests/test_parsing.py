@@ -128,6 +128,8 @@ def parse_error(parse, text):
         (parse_bipartite, "1 (x) 1 - ", "expected a bipartite term (line 1, col 11)"),
         (parse_bipartite, "+ * y1", "expected a bipartite term (line 1, col 3)"),
         (parse_bipartite, "y1 x1", "expected '(x)' between the two sides (line 1, col 4)"),
+        (parse_bipartite, "y1", "expected '(x)' between the two sides (line 1, col 3)"),
+        (parse_bipartite, "y1^0", "expected '(x)' between the two sides (line 1, col 5)"),
         (parse_bipartite, "2", "expected '(x)' between the two sides (line 1, col 2)"),
         (parse_bipartite, "(1+i (x) 1", "expected ')' (line 1, col 6)"),
         (parse_bipartite, "y1 (x) 1 x1", "unexpected token 'x1' (line 1, col 10)"),

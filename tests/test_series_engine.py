@@ -141,6 +141,68 @@ def test_engine_matches_dense_reference(case):
     assert engine(M, cap, max_terms) == expected
 
 
+# -- lone non-unit diagonal blocks --------------------------------------------
+
+
+@st.composite
+def lone_block_cases(draw):
+    """A block upper-triangular matrix, rows and columns permuted alike, with
+    an invertible constant part and one 1x1 diagonal block that is not
+    constant; other blocks are 1x1 or 2x2 with any entries."""
+    cls = draw(st.sampled_from(list(RINGS)))
+    sizes = draw(st.lists(st.integers(1, 2), max_size=2))
+    lone = draw(st.integers(0, len(sizes)))
+    sizes.insert(lone, 1)
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    n = len(block)
+    small = st.integers(-2, 2)
+
+    def terms(min_size=0):
+        keys = draw(st.lists(RINGS[cls], min_size=min_size, max_size=2))
+        return cls.ring({key: draw(small.filter(bool)) for key in keys})
+
+    entries = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if block[i] > block[j]:
+                row.append(cls.ring.zero())
+            elif i == j:
+                unit = draw(st.sampled_from((1, -1, 2)))
+                row.append(cls.ring.scalar(unit) + terms(1 if block[i] == lone else 0))
+            elif block[i] == block[j]:
+                row.append(terms())
+            else:
+                row.append(cls.ring.scalar(draw(small)) + terms())
+        entries.append(row)
+    perm = draw(st.permutations(range(n)))
+    M = cls([[entries[a][b] for b in perm] for a in perm])
+    return M, draw(st.integers(0, 5))
+
+
+@given(lone_block_cases())
+def test_lone_non_unit_block_answers_as_the_series(case):
+    M, cap = case
+    # a budget that is never reached takes the series path
+    expected = NotPolyInvertible(REASON_NO_INVERSE_UP_TO_CAP, cap)
+    assert poly_matrix_inverse(M, cap) == poly_matrix_inverse(M, cap, max_terms=10**9) == expected
+
+
+@pytest.mark.parametrize(
+    "cls, key",
+    [(PolyMatrix, (("x", 1), ("x", 2))), (BipartiteMatrix, ((("y", 1),), (("x", 2),)))],
+    ids=["free", "bipartite"],
+)
+def test_non_constant_diagonal_on_a_cycle_is_not_short_cut(cls, key):
+    # the 2x2 block I - N w with N = [[1, 1], [-1, -1]] (N^2 = 0) has the
+    # non-constant diagonal entries 1 - w and 1 + w on a cycle, and the
+    # block-triangular matrix inverts
+    ring = cls.ring
+    w, o, z = ring({key: 1}), ring.one(), ring.zero()
+    M = cls([[o - w, -w, o], [w, o + w, z], [z, z, o]])
+    assert poly_matrix_inverse(M, 2) == cls([[o + w, w, -o - w], [-w, o - w, w], [z, z, o]])
+
+
 # -- pinned cases ------------------------------------------------------------
 
 
