@@ -97,7 +97,7 @@ def hypo_jacobian(p) -> BipartiteMatrix:
     term rev(u) (x) v of cell (j, i), both sides renamed to y.  A word and a
     position fix the key, so no two terms meet and no sum is formed."""
     g = len(p)
-    check_alphabet(p, g, kinds=("x",))
+    check_alphabet(p, g)
     grid = [[{} for _ in range(g)] for _ in range(g)]
     column = {encode_letter(("x", j + 1)): j for j in range(g)}
     to_y = str.maketrans({x: encode_letter(("y", j + 1)) for x, j in column.items()})
@@ -173,7 +173,7 @@ class Hyporealization:
 
     @classmethod
     def from_system(cls, system):
-        comps = system.components if hasattr(system, "components") else tuple(system)
+        comps = tuple(system)
         if not check_proper(comps):
             raise NotHyporealization("system is not proper")
         h = len(comps)

@@ -41,7 +41,7 @@ def _parse_map(strings, g, self_map=True):
     p = parsing.parse_poly_map(strings)
     if self_map and len(p) != g:
         raise ArityMismatch(f"-g {g} needs {g} components, got {len(p)}")
-    check_alphabet(p, g, kinds=("x",))
+    check_alphabet(p, g)
     return p
 
 

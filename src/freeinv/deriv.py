@@ -11,22 +11,20 @@ from __future__ import annotations
 from .freealg import FreePoly, decode_letter, encode_letter, swap_kinds
 
 
-def free_derivative(f: FreePoly, *, base_kind="x", direction_kind="y") -> FreePoly:
+def free_derivative(f: FreePoly) -> FreePoly:
     """Directional derivative; constants map to 0."""
-    # the direction letter of every base letter that occurs
+    # the direction letter y_i of every letter x_i that occurs
     direction = {}
     for ch in set().union(*f._terms):
         kind, idx = decode_letter(ch)
-        if kind == base_kind:
-            direction[ch] = encode_letter((direction_kind, idx))
+        if kind == "x":
+            direction[ch] = encode_letter(("y", idx))
     out = {}
     for w, c in f._terms.items():
         for pos, ch in enumerate(w):
             if ch not in direction:
                 kind, idx = decode_letter(ch)
-                raise ValueError(
-                    f"free_derivative expects {base_kind}-letters only, found {kind}{idx}"
-                )
+                raise ValueError(f"free_derivative expects x-letters only, found {kind}{idx}")
             nw = w[:pos] + direction[ch] + w[pos + 1 :]
             prev = out.get(nw)
             out[nw] = c if prev is None else prev + c

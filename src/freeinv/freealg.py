@@ -232,6 +232,9 @@ class Poly:
         return self._terms == ({self._ONE_KEY: g} if g else {})
 
     def __hash__(self):
+        # a constant equals its coefficient, so it hashes as one
+        if self._terms.keys() <= {self._ONE_KEY}:
+            return hash(self.constant_term())
         return hash(frozenset(self._terms.items()))
 
     def degree(self):
@@ -256,16 +259,7 @@ class Poly:
         if len(self._terms) < len(other._terms):
             self, other = other, self
         out = dict(self._terms)
-        for k, c in other._terms.items():
-            prev = out.get(k)
-            if prev is None:
-                out[k] = c
-            else:
-                s = prev + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+        self._mac(out, self._left({self._ONE_KEY: 1}), other._terms.items())
         return self._raw(_settled(out))
 
     __radd__ = __add__
@@ -286,9 +280,7 @@ class Poly:
             g = exact(other)
             if g is None:
                 return NotImplemented
-            if not g:
-                return self.zero()
-            return self._raw(_settled({k: c * g for k, c in self._terms.items()}))
+            other = self.scalar(g)
         out = {}
         self._mac(out, self._left(self._terms), other._terms.items())
         return self._raw(_settled(out))
@@ -715,12 +707,9 @@ def map_degree(p):
     return max((comp.degree() for comp in p), default=NEG_INF)
 
 
-def check_alphabet(p, g: int, kinds=("x",)):
-    """Verify every letter of the tuple p lies in the declared alphabet."""
+def check_alphabet(p, g: int):
+    """Verify every letter of the tuple p is one of x1..xg."""
     for comp in p:
         for (k, i) in comp.letters():
-            if k not in kinds or i > g:
-                raise ArityMismatch(
-                    f"letter {k}{i} outside the declared alphabet "
-                    f"({'/'.join(kinds)} with index <= {g})"
-                )
+            if k != "x" or i > g:
+                raise ArityMismatch(f"letter {k}{i} outside the declared alphabet (x with index <= {g})")

@@ -175,17 +175,10 @@ def invert(p, cap: int | None = None, max_terms: int | None = None) -> Inversion
     g = len(p)
     if g == 0:
         raise ArityMismatch("empty map")
-    check_alphabet(p, g, kinds=("x",))
+    check_alphabet(p, g)
 
     constants = tuple(comp.constant_term() for comp in p)
     p0 = tuple(comp - FreePoly.scalar(c) for comp, c in zip(p, constants))
-
-    deg_p = map_degree(p0)
-    if deg_p < 1:
-        return InversionOutcome(
-            OUTCOME_NOT_INJECTIVE, reason=REASON_SINGULAR_JACOBIAN_CONSTANT
-        )
-    deg_p = int(deg_p)
 
     j_inv = jacobian_gate(p0, max_terms)
     if isinstance(j_inv, NotPolyInvertible):
@@ -201,6 +194,8 @@ def invert(p, cap: int | None = None, max_terms: int | None = None) -> Inversion
             OUTCOME_NOT_INJECTIVE, reason=REASON_JACOBIAN_NOT_POLY_INVERTIBLE
         )
 
+    # an inverted Jacobian is nonzero, so p0 has degree >= 1
+    deg_p = int(map_degree(p0))
     system = auxiliary_inverse(p0, j_inv)
     bound = inverse_degree_bound(g, deg_p)
     w_rig = bound * deg_p + 1

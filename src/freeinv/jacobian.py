@@ -166,14 +166,8 @@ def jacobian_extract(p):
 
 def reconstruct(constants, J):
     """Inverse of jacobian_extract: p(x) = p(0) + x*J(x)."""
-    g, h = J.rows, J.cols
-    out = []
-    for j in range(h):
-        comp = FreePoly.scalar(constants[j])
-        for s in range(g):
-            comp = comp + FreePoly.letter("x", s + 1) * J[s][j]
-        out.append(comp)
-    return tuple(out)
+    x = PolyMatrix([[FreePoly.letter("x", s + 1) for s in range(J.rows)]])
+    return tuple(e + c for e, c in zip((x * J)[0], constants))
 
 
 def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
@@ -329,7 +323,7 @@ def _merge(total, layer):
 def auxiliary_inverse(p, j_inv: PolyMatrix):
     """Build the proper algebraic system x * Jinv(z) from a verified inverse Jacobian."""
     g = len(p)
-    check_alphabet(p, g, kinds=("x",))
+    check_alphabet(p, g)
     if any(comp.constant_term() for comp in p):
         raise ValueError("auxiliary inverse requires a map without constant term")
     to_z = {("x", i + 1): ("z", i + 1) for i in range(g)}

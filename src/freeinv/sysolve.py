@@ -150,16 +150,10 @@ class ProperAlgebraicSystem:
         return iter(self.components)
 
 
-def _as_components(system):
-    if isinstance(system, ProperAlgebraicSystem):
-        return system.components
-    return tuple(system)
-
-
 def check_proper(system) -> bool:
     """True iff constant-term-free, every z-word has length >= 2 and every
     z-letter is one of z1..zh."""
-    comps = _as_components(system)
+    comps = tuple(system)
     for c in comps:
         if c.constant_term() or c.dz_degree("z") <= 1:
             return False
@@ -247,11 +241,6 @@ class IterateSplit:
         return "IterateSplit(k={!r}, head={!r}, tail={!r}, floor={!r}, exact={!r})".format(*self._key())
 
 
-def _require_proper(system):
-    if not check_proper(system):
-        raise ImproperSystem("system must be constant-term-free with z-degree floor > 1")
-
-
 def _file(words, bucket, zwords, first_z):
     """Add each term of `words` to its length bucket, bucket(n), if it is
     z-free, else to its group zwords[beta, l][u], where u is its z-free
@@ -294,22 +283,6 @@ def _words(free, zwords, cut=0):
     return terms
 
 
-def _split_expansion(terms, ell, first_z):
-    """tau's terms by target: (l + |t| -> [(t, coeff)] for the z-free terms,
-    (suffix from the first z-letter, l + |prefix|) -> [(prefix, coeff)] for
-    the z-terms), as two item lists."""
-    buckets = {}
-    groups = {}
-    for t, c in terms:
-        m = first_z(t)
-        if m is None:
-            buckets.setdefault(ell + len(t), []).append((t, c))
-        else:
-            j = m.start()
-            groups.setdefault((t[j:], ell + j), []).append((t[:j], c))
-    return list(buckets.items()), list(groups.items())
-
-
 def _step(system, iterate, trunc, first_z):
     """One composition step on the factored iterate T_k: T_{k+1} truncated at
     trunc.  The step takes the system side, a o T_k, when T_k has more than
@@ -346,11 +319,12 @@ def _into_iterate(images, iterate, trunc, first_z):
     Each (beta, l) group expands beta, truncated at trunc - l, by one call of
     `substitute_tracked` on the word beta, which reads the image from the
     image set's memo; the memo keeps it across l, steps and passes, and the
-    step keeps no cache of its own.  A group with many prefixes u writes
-    u tau straight into its target buckets and groups.  A group with few
-    would pay a target lookup per term of tau for one or two products, so its
-    words go to one flat dict, which is split by first z-letter once all
-    products (which often merge) are in.
+    step keeps no cache of its own.  A group with many prefixes u files tau
+    with `_factored`, as T_1 is filed, and writes u tau straight into tau's
+    buckets and groups, each length and prefix length shifted by l.  A group
+    with few would pay a target lookup per term of tau for one or two
+    products, so its words go to one flat dict, which is split by first
+    z-letter once all products (which often merge) are in.
     """
     mac = FreePoly._mac
     out = []
@@ -369,15 +343,16 @@ def _into_iterate(images, iterate, trunc, first_z):
         flat = {}
         for (beta, ell), us in zwords.items():
             tau, _ = substitute_tracked(FreePoly._raw({beta: 1}), images, default_identity=True, trunc=trunc - ell)
-            terms = tau._terms.items()
             if len(us) < _WIDE:
-                mac(flat, us.items(), terms)
+                mac(flat, us.items(), tau._terms.items())
                 continue
-            buckets, groups = _split_expansion(terms, ell, first_z)
-            for n, part in buckets:
-                mac(bucket(n), us.items(), part)
-            for target, part in groups:
-                mac(new_zwords.setdefault(target, {}), us.items(), part)
+            # lists, not dict views: `_mac` runs over each part once per u
+            # (with views NILPOTENT's budgeted invert calls ran 10-13 % slower)
+            tau_free, tau_zwords = _factored(tau._terms, first_z)
+            for n, part in tau_free.items():
+                mac(bucket(ell + n), us.items(), list(part.items()))
+            for (suffix, j), part in tau_zwords.items():
+                mac(new_zwords.setdefault((suffix, ell + j), {}), us.items(), list(part.items()))
         _file(flat, bucket, new_zwords, first_z)
         for n in written:
             if free[n]:
@@ -406,7 +381,8 @@ def iterates(system, trunc: int):
 
     Runs on one `ProperAlgebraicSystem` share its image set and so its
     suffix memo; any other sequence of components gets a system of its own."""
-    _require_proper(system)
+    if not check_proper(system):
+        raise ImproperSystem("system must be constant-term-free with z-degree floor > 1")
     if not isinstance(system, ProperAlgebraicSystem):
         system = ProperAlgebraicSystem(system)
     comps = system.components
@@ -462,15 +438,7 @@ def implicit_solve(f, trunc: int):
     part_inv = linalg.inverse(tuple(tuple(row) for row in part))
     if part_inv is None:
         raise SingularLinearPart("the z-linear coefficient matrix at 0 is singular")
-    normalized = []
-    for i in range(h):
-        acc = FreePoly.zero()
-        for s in range(h):
-            c = part_inv[i][s]
-            if c:
-                acc = acc + f[s] * c
-        normalized.append(acc)
-    hatted = tuple(
-        FreePoly.letter("z", i + 1) - normalized[i] for i in range(h)
-    )
+    # row i of part_inv * f
+    normalized = [sum(f_s * c for f_s, c in zip(f, row)) for row in part_inv]
+    hatted = tuple(FreePoly.letter("z", i + 1) - n for i, n in enumerate(normalized))
     return solve_truncated(ProperAlgebraicSystem(hatted), trunc)

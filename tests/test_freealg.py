@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 from hypothesis import given
 
-from freeinv import FreePoly, GaussianRational, UnboundLetter, substitute
+from freeinv import BipartitePoly, FreePoly, GaussianRational, UnboundLetter, substitute
 from freeinv.freealg import POS_INF, substitute_tracked
 
 import strategies as S
@@ -177,3 +178,17 @@ def test_scalar_arithmetic_in_polys():
 def test_hash_consistent_with_eq(f):
     g = FreePoly(dict(f.terms()))
     assert f == g and hash(f) == hash(g)
+
+
+exact_scalars = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    S.coefficients,
+)
+
+
+@given(st.sampled_from([FreePoly, BipartitePoly]), exact_scalars)
+def test_constant_hashes_as_its_coefficient(ring, c):
+    # a constant equals its coefficient, so a dict keyed by one finds the other
+    assert hash(ring.scalar(c)) == hash(c)
+    assert {c: 1}[ring.scalar(c)] == 1

@@ -2,12 +2,15 @@
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from freeinv import (
     ArityMismatch,
     FreePoly,
+    GaussianRational,
+    InversionOutcome,
     injectivity_test,
     inverse_degree_bound,
     invert,
@@ -188,6 +191,22 @@ def test_invert_singular_linear_part():
     out = invert(p)
     assert out.outcome == OUTCOME_NOT_INJECTIVE
     assert out.reason == "singular-jacobian-constant"
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [{}, {"cap": 0}, {"max_terms": 0}, {"cap": 0, "max_terms": 0}],
+    ids=["rigorous", "cap0", "budget0", "cap0-budget0"],
+)
+@pytest.mark.parametrize(
+    "constants",
+    [(0,), (3,), (0, 0), (1, -2), (0, 0, 0), (Fraction(1, 2), 0, GaussianRational(0, 1))],
+    ids=["g1-zero", "g1", "g2-zero", "g2", "g3-zero", "g3"],
+)
+def test_invert_all_constant_map_fails_the_gate(constants, limits):
+    # an all-constant map has J = 0, so J(0) is singular whatever the limits
+    out = invert(tuple(map(FreePoly.scalar, constants)), **limits)
+    assert out == InversionOutcome(OUTCOME_NOT_INJECTIVE, reason="singular-jacobian-constant")
 
 
 def test_invert_restores_constants():

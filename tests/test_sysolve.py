@@ -167,13 +167,26 @@ def test_iterates_match_reference_on_auxiliary_systems(maps, trunc, k_max):
 # a step takes a o T_k (the system side) or T_k o a (the iterate side)
 KERNELS = {"system": "_into_system", "iterate": "_into_iterate"}
 
+# the forced runs: a side, and the `_WIDE` the iterate side runs with (None
+# keeps it); at 0 every group takes the wide route, at inf the flat one
+FORCED = {
+    "system": ("system", None),
+    "iterate": ("iterate", None),
+    "iterate-wide": ("iterate", 0),
+    "iterate-flat": ("iterate", float("inf")),
+}
+
 
 @contextmanager
 def forced(kernel):
-    """Every step of `iterates` inside the block takes the given side."""
+    """Every step of `iterates` inside the block takes the side of the forced
+    run `kernel`, and the iterate side its routes; yields the side."""
+    side, wide = FORCED[kernel]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sysolve, "_GROUPS_PER_TERM", -1 if kernel == "system" else float("inf"))
-        yield
+        mp.setattr(sysolve, "_GROUPS_PER_TERM", -1 if side == "system" else float("inf"))
+        if wide is not None:
+            mp.setattr(sysolve, "_WIDE", wide)
+        yield side
 
 
 @contextmanager
@@ -187,26 +200,26 @@ def kernel_log():
         yield log
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", FORCED)
 @given(S.proper_systems(), st.sampled_from(TRUNCS))
 def test_each_kernel_matches_reference_composition(kernel, system, trunc):
-    with forced(kernel), kernel_log() as log:
+    with forced(kernel) as side, kernel_log() as log:
         check_iterates(system, trunc, 5)
     # a system without terms has no groups: 0 > -1 * 0 fails, and the step
     # takes the iterate side
-    assert set(log) <= {kernel} or system.size == 0
+    assert set(log) <= {side} or system.size == 0
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", FORCED)
 @AUXILIARY
 def test_each_kernel_matches_reference_on_auxiliary_systems(kernel, maps, trunc, k_max):
-    with forced(kernel), kernel_log() as log:
+    with forced(kernel) as side, kernel_log() as log:
         for p in maps:
             check_iterates(aux_system(p), trunc, k_max)
-    assert set(log) == {kernel}
+    assert set(log) == {side}
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", FORCED)
 @pytest.mark.parametrize("trunc", [3, 4, 6, 7])
 @pytest.mark.parametrize(
     "system",
@@ -228,9 +241,9 @@ def test_each_kernel_matches_reference_on_auxiliary_systems(kernel, maps, trunc,
     ids=["zero-after-prefix", "zero-inside", "zero-first", "flag-of-the-groups", "zero-in-a-wide-group"],
 )
 def test_each_kernel_on_a_system_with_a_zero_component(kernel, system, trunc):
-    with forced(kernel), kernel_log() as log:
+    with forced(kernel) as side, kernel_log() as log:
         check_iterates(system, trunc, 5)
-    assert set(log) <= {kernel}
+    assert set(log) <= {side}
 
 
 @given(S.proper_systems())
