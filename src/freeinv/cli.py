@@ -1,10 +1,18 @@
 """Command-line surface.
 
+One result path: every `cmd_*` returns (payload, text lines, exit code) and
+prints nothing, and `main` emits the result once -- the payload as JSON with
+`--json`, else the lines -- to stdout or the `--out` file.  An end without a
+result raises `Stop`, which carries its exit code and its exact stderr line;
+`main` catches it once, and turns the input errors a command line can cause
+(`ParseError`, `ArityMismatch`, `ImproperSystem`) into exit 2.
+
 Exit codes: 0 mathematical success, 1 mathematical negative (not injective /
 verification false), 2 input error (including a file that cannot be read or
 written), 3 indeterminate (a cap or budget cut the search short of the
 rigorous bound), 4 internal error (an uncaught exception; `run` prints its
-traceback, `main` lets it propagate).
+traceback, `main` lets it propagate).  `invert` and `check-injective` read
+theirs from one table, `EXIT_CODES`, keyed by outcome or status.
 
 The inversion loop follows the auxiliary-system iteration; the Jacobian gate
 treats "no polynomial inverse of the Jacobian up to the rigorous degree cap"
@@ -19,7 +27,7 @@ import json
 import sys
 
 from . import bipartite, deriv, inverter, jacobian, linalg, mateval, parsing, sysolve
-from .freealg import ArityMismatch, UnboundLetter, check_alphabet
+from .freealg import ArityMismatch, check_alphabet
 from .parsing import ParseError
 
 EXIT_OK = 0
@@ -28,12 +36,25 @@ EXIT_INPUT_ERROR = 2
 EXIT_INDETERMINATE = 3
 EXIT_INTERNAL_ERROR = 4
 
+# the exit code of an `invert` outcome or a `check-injective` status
+EXIT_CODES = {
+    "inverse": EXIT_OK,
+    "injective": EXIT_OK,
+    "not-injective": EXIT_NEGATIVE,
+    "indeterminate": EXIT_INDETERMINATE,
+}
+
 DEFAULT_CAP = 64
 DEFAULT_MAX_TERMS = 200_000
 
 
-class FileAccessError(Exception):
-    """A file named on the command line cannot be read or written."""
+class Stop(Exception):
+    """A command ends without a result: `code` is its exit code and the
+    message its stderr line."""
+
+    def __init__(self, code, line):
+        super().__init__(line)
+        self.code = code
 
 
 def _parse_map(strings, g, self_map=True):
@@ -59,133 +80,97 @@ def _int_at_least(low):
 
 
 def _emit(args, payload, text_lines):
-    if args.json:
-        out = json.dumps(payload, indent=None, sort_keys=True)
-    else:
-        out = "\n".join(text_lines)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(out + "\n")
-        except OSError as exc:
-            raise FileAccessError(f"cannot write --out file: {exc}") from exc
-    else:
+    out = json.dumps(payload, sort_keys=True) if args.json else "\n".join(text_lines)
+    if not args.out:
         print(out)
+        return
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(out + "\n")
+    except OSError as exc:
+        raise Stop(EXIT_INPUT_ERROR, f"error: cannot write --out file: {exc}") from exc
 
 
-def _matrix_payload(m):
-    return [[str(e) for e in row] for row in m.entries]
+def _render_matrix(m):
+    """A matrix as rows of entry strings, and as text lines `[a, b]`."""
+    rows = [[str(e) for e in row] for row in m.entries]
+    return rows, ["[" + ", ".join(row) + "]" for row in rows]
 
 
-def _matrix_lines(rows):
-    return ["[" + ", ".join(row) + "]" for row in rows]
+def _render_tuple(name, p):
+    """A tuple of polynomials as strings, and as text lines `name1 = ...`."""
+    strings = parsing.format_poly_map(p)
+    return strings, [f"{name}{i} = {s}" for i, s in enumerate(strings, 1)]
 
 
 def cmd_invert(args):
     p = _parse_map(args.poly, args.g)
     cap = None if args.rigorous else args.cap
     outcome = inverter.invert(p, cap=cap, max_terms=args.max_terms or None)
-    payload = outcome.to_jsonable()
     lines = [f"outcome: {outcome.outcome}"]
     if outcome.is_inverse:
-        for i, comp in enumerate(outcome.q):
-            lines.append(f"q{i + 1} = {parsing.format_poly(comp)}")
+        lines += _render_tuple("q", outcome.q)[1]
         lines.append(f"iterations: {outcome.iterations}")
     elif outcome.reason:
         lines.append(f"reason: {outcome.reason}")
-    _emit(args, payload, lines)
-    if outcome.is_inverse:
-        return EXIT_OK
-    if outcome.is_not_injective:
-        return EXIT_NEGATIVE
-    return EXIT_INDETERMINATE
+    return outcome.to_jsonable(), lines, EXIT_CODES[outcome.outcome]
 
 
 def cmd_jacobian(args):
     p = _parse_map(args.poly, args.g, self_map=False)
     constants, jac = jacobian.jacobian_extract(p)
-    payload = {
-        "constant": [str(c) for c in constants],
-        "jacobian": _matrix_payload(jac),
-    }
-    lines = [f"constant: {payload['constant']}"] + _matrix_lines(payload["jacobian"])
-    _emit(args, payload, lines)
-    return EXIT_OK
+    constant = [str(c) for c in constants]
+    rows, lines = _render_matrix(jac)
+    return {"constant": constant, "jacobian": rows}, [f"constant: {constant}", *lines], EXIT_OK
 
 
 def cmd_aux_iterate(args):
     p = _parse_map(args.poly, args.g)
-    constants = [comp.constant_term() for comp in p]
-    if any(constants):
-        print("error: map must have zero constant term", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    if any(comp.constant_term() for comp in p):
+        raise Stop(EXIT_INPUT_ERROR, "error: map must have zero constant term")
     budget = args.max_terms or None
     out_of_budget = f"indeterminate: the term budget (--max-terms {args.max_terms}) ran out"
     j_inv = inverter.jacobian_gate(p, budget)
     if isinstance(j_inv, jacobian.NotPolyInvertible):
         if j_inv.reason == jacobian.REASON_TERM_BUDGET:
-            print(f"{out_of_budget} while inverting the Jacobian", file=sys.stderr)
-            return EXIT_INDETERMINATE
-        print(f"error: Jacobian not polynomially invertible ({j_inv.reason})", file=sys.stderr)
-        return EXIT_NEGATIVE
+            raise Stop(EXIT_INDETERMINATE, f"{out_of_budget} while inverting the Jacobian")
+        raise Stop(EXIT_NEGATIVE, f"error: Jacobian not polynomially invertible ({j_inv.reason})")
     system = jacobian.auxiliary_inverse(p, j_inv)
     # the budget bounds every iterate on the way to the k-th, as in `invert`
     for split in sysolve.iterates(system, args.trunc):
         if budget is not None and split.terms > budget:
-            print(f"{out_of_budget} at iterate {split.k}", file=sys.stderr)
-            return EXIT_INDETERMINATE
+            raise Stop(EXIT_INDETERMINATE, f"{out_of_budget} at iterate {split.k}")
         if split.k == args.k:
             break
     floor = "inf" if split.floor is None and split.exact else (
         f">{args.trunc}" if split.floor is None else split.floor
     )
-    payload = {
-        "k": split.k,
-        "head": parsing.format_poly_map(split.head),
-        "floor": floor,
-        "tail": parsing.format_poly_map(split.tail),
-    }
-    lines = [f"k = {split.k}", f"floor = {floor}"]
-    lines += [f"head{i + 1} = {s}" for i, s in enumerate(payload["head"])]
-    lines += [f"tail{i + 1} = {s}" for i, s in enumerate(payload["tail"])]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    head, head_lines = _render_tuple("head", split.head)
+    tail, tail_lines = _render_tuple("tail", split.tail)
+    payload = {"k": split.k, "head": head, "floor": floor, "tail": tail}
+    return payload, [f"k = {split.k}", f"floor = {floor}", *head_lines, *tail_lines], EXIT_OK
 
 
 def cmd_solve_system(args):
-    comps = parsing.parse_poly_map(args.poly)
-    system = sysolve.ProperAlgebraicSystem(comps)
-    solution = sysolve.solve_truncated(system, args.trunc)
-    payload = {"solution": parsing.format_poly_map(solution)}
-    lines = [f"s{i + 1} = {s}" for i, s in enumerate(payload["solution"])]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    system = sysolve.ProperAlgebraicSystem(parsing.parse_poly_map(args.poly))
+    solution, lines = _render_tuple("s", sysolve.solve_truncated(system, args.trunc))
+    return {"solution": solution}, lines, EXIT_OK
 
 
 def cmd_derive(args):
     p = _parse_map(args.poly, args.g, self_map=False)
-    d = deriv.derivative_map(p)
-    payload = {"derivative": parsing.format_poly_map(d)}
-    lines = [f"D{i + 1} = {s}" for i, s in enumerate(payload["derivative"])]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    derivative, lines = _render_tuple("D", deriv.derivative_map(p))
+    return {"derivative": derivative}, lines, EXIT_OK
 
 
 def cmd_scion(args):
-    p = _parse_map(args.poly, args.g)
-    f = deriv.scion(p)
-    payload = {"scion": parsing.format_poly_map(f)}
-    lines = [f"F{i + 1} = {s}" for i, s in enumerate(payload["scion"])]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    scion, lines = _render_tuple("F", deriv.scion(_parse_map(args.poly, args.g)))
+    return {"scion": scion}, lines, EXIT_OK
 
 
 def cmd_hypojac(args):
-    p = _parse_map(args.poly, args.g)
-    hj = bipartite.hypo_jacobian(p)
-    payload = {"hypo_jacobian": _matrix_payload(hj)}
-    _emit(args, payload, _matrix_lines(payload["hypo_jacobian"]))
-    return EXIT_OK
+    rows, lines = _render_matrix(bipartite.hypo_jacobian(_parse_map(args.poly, args.g)))
+    return {"hypo_jacobian": rows}, lines, EXIT_OK
 
 
 def cmd_check_injective(args):
@@ -194,42 +179,31 @@ def cmd_check_injective(args):
     result = bipartite.injectivity_test(p, cap=cap, max_terms=args.max_terms or None)
     payload = {"status": result.status, "cap_used": result.cap_used, "certified": result.certified}
     if result.inverse is not None:
-        payload["inverse"] = _matrix_payload(result.inverse)
-    lines = [f"status: {result.status} (cap {result.cap_used})"]
-    _emit(args, payload, lines)
-    if result.status == "injective":
-        return EXIT_OK
-    if result.status == "not-injective":
-        return EXIT_NEGATIVE
-    return EXIT_INDETERMINATE
+        payload["inverse"] = _render_matrix(result.inverse)[0]
+    return payload, [f"status: {result.status} (cap {result.cap_used})"], EXIT_CODES[result.status]
 
 
 def cmd_eval(args):
+    # the point is checked before the map is parsed
+    if not (args.at or args.at_file):
+        raise Stop(EXIT_INPUT_ERROR, "error: eval requires --at or --at-file")
     p = _parse_map(args.poly, args.g, self_map=False)
+    tuple_text = args.at
     if args.at_file:
         try:
             with open(args.at_file) as fh:
                 tuple_text = fh.read()
         except OSError as exc:
-            raise FileAccessError(f"cannot read --at-file: {exc}") from exc
-    else:
-        tuple_text = args.at
+            raise Stop(EXIT_INPUT_ERROR, f"error: cannot read --at-file: {exc}") from exc
     X = parsing.parse_matrix_tuple(tuple_text)
     if X.arity < args.g:
-        print(
-            f"error: tuple has {X.arity} matrices but -g {args.g} was declared",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT_ERROR
+        raise Stop(EXIT_INPUT_ERROR, f"error: tuple has {X.arity} matrices but -g {args.g} was declared")
     values = [mateval.eval_poly(comp, X) for comp in p]
     if args.float:
         rendered = [[[_float_str(e) for e in row] for row in v] for v in values]
     else:
         rendered = [parsing.format_matrix(v) for v in values]
-    payload = {"values": rendered}
-    lines = [json.dumps(v) for v in rendered]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return {"values": rendered}, [json.dumps(v) for v in rendered], EXIT_OK
 
 
 def _float_str(value):
@@ -243,25 +217,22 @@ def _float_str(value):
 def cmd_verify(args):
     p = _parse_map(args.p, args.g)
     q = _parse_map(args.q, args.g)
-    if args.float:
-        # one seeded 2x2 point, evaluated exactly; only the residual is a float
-        import random  # only on this path, to keep start-up lean
+    if not args.float:
+        ok = inverter.verify_inverse(p, q)
+        return {"inverse_pair": ok}, [f"inverse pair: {ok}"], EXIT_OK if ok else EXIT_NEGATIVE
+    # one seeded 2x2 point, evaluated exactly; only the residual is a float
+    import random  # only on this path, to keep start-up lean
 
-        X = mateval.random_matrix_tuple(random.Random(args.seed), args.g, 2)
-        resid = 0.0
-        for outer, inner in ((p, q), (q, p)):
-            inner_x = mateval.MatrixTuple(2, mateval.eval_poly_map(inner, X))
-            for comp, target in zip(outer, X.mats):
-                diff = linalg.sub(mateval.eval_poly(comp, inner_x), target)
-                resid = max(resid, max(abs(complex(e)) for row in diff for e in row))
-        ok = resid < 1e-9
-        payload = {"inverse_pair": ok, "sampled_residual": resid}
-        _emit(args, payload, [f"inverse pair (sampled, tol 1e-9): {ok}"])
-        return EXIT_OK if ok else EXIT_NEGATIVE
-    ok = inverter.verify_inverse(p, q)
-    payload = {"inverse_pair": ok}
-    _emit(args, payload, [f"inverse pair: {ok}"])
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    X = mateval.random_matrix_tuple(random.Random(args.seed), args.g, 2)
+    resid = 0.0
+    for outer, inner in ((p, q), (q, p)):
+        inner_x = mateval.MatrixTuple(2, mateval.eval_poly_map(inner, X))
+        for comp, target in zip(outer, X.mats):
+            diff = linalg.sub(mateval.eval_poly(comp, inner_x), target)
+            resid = max(resid, max(abs(complex(e)) for row in diff for e in row))
+    ok = resid < 1e-9
+    payload = {"inverse_pair": ok, "sampled_residual": resid}
+    return payload, [f"inverse pair (sampled, tol 1e-9): {ok}"], EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def build_parser():
@@ -271,11 +242,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, polys="poly", cap=False):
+    def common(sp, cap=False):
         sp.add_argument("-g", type=_int_at_least(1), required=True, help="number of variables/components")
-        sp.add_argument(polys, nargs="+", help="polynomial components, e.g. \"x2 - x1*x2*x1\"")
-        sp.add_argument("--json", action="store_true", help="emit JSON")
-        sp.add_argument("--out", help="write output to a file instead of stdout")
+        sp.add_argument("poly", nargs="+", help="polynomial components, e.g. \"x2 - x1*x2*x1\"")
         if cap:
             sp.add_argument(
                 "--cap",
@@ -315,8 +284,6 @@ def build_parser():
     sp = sub.add_parser("solve-system", help="truncated fixed point of a proper system over x and z")
     sp.add_argument("poly", nargs="+", help="system components over x1.. and z1..")
     sp.add_argument("--trunc", type=_int_at_least(1), default=8)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--out")
     sp.set_defaults(fn=cmd_solve_system)
 
     sp = sub.add_parser("derive", help="formal directional derivative (direction letters y)")
@@ -346,8 +313,6 @@ def build_parser():
     sp.add_argument("-g", type=_int_at_least(1), required=True)
     sp.add_argument("--p", nargs="+", required=True)
     sp.add_argument("--q", nargs="+", required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--out")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument(
         "--float",
@@ -356,21 +321,24 @@ def build_parser():
     )
     sp.set_defaults(fn=cmd_verify)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--json", action="store_true", help="emit JSON")
+        sp.add_argument("--out", help="write output to a file instead of stdout")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "fn", None) is cmd_eval and not (args.at or args.at_file):
-        print("error: eval requires --at or --at-file", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (ParseError, UnboundLetter, ArityMismatch, mateval.SizeMismatch, sysolve.ImproperSystem,
-            sysolve.SingularLinearPart, sysolve.NonzeroConstant, FileAccessError) as exc:
+        payload, lines, code = args.fn(args)
+        _emit(args, payload, lines)
+    except (ParseError, ArityMismatch, sysolve.ImproperSystem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Stop as stop:
+        print(stop, file=sys.stderr)
+        return stop.code
+    return code
 
 
 def run(argv=None) -> int:

@@ -1,6 +1,7 @@
 """Free (noncommutative) polynomials over tagged multi-alphabets.
 
-A letter is a (kind, index) pair with kind in "xyzwhk" and index >= 1; a word
+A letter is a (kind, index) pair with kind in "xyzwhk" and 1 <= index <=
+MAX_INDEX = 185,685 (the last index with a code point in every kind); a word
 is a sequence of letters (the empty word is the multiplicative identity).  A
 FreePoly is a finite word -> coefficient map over the exact Gaussian
 rationals; zero coefficients are never stored, so degree queries are
@@ -47,6 +48,8 @@ from .scalars import exact
 
 KINDS = "xyzwhk"
 _KIND_RANK = {k: r for r, k in enumerate(KINDS)}
+# the last index whose letter has a code point in every kind
+MAX_INDEX = 0x10FFFF // 6
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -75,8 +78,8 @@ class _CodePoints(dict):
 
     def __missing__(self, let):
         kind, i = let
-        if kind not in _KIND_RANK or not isinstance(i, int) or i < 1:
-            raise ValueError(f"not a letter (kind in {KINDS!r}, index >= 1): {let!r}")
+        if kind not in _KIND_RANK or not isinstance(i, int) or not 1 <= i <= MAX_INDEX:
+            raise ValueError(f"not a letter (kind in {KINDS!r}, index 1..{MAX_INDEX}): {let!r}")
         ch = self[let] = chr(6 * i - 5 + _KIND_RANK[kind])
         return ch
 
@@ -708,7 +711,9 @@ def map_degree(p):
 
 
 def check_alphabet(p, g: int):
-    """Verify every letter of the tuple p is one of x1..xg."""
+    """Verify the tuple p is nonempty and every letter of it is one of x1..xg."""
+    if not p:
+        raise ArityMismatch("empty map")
     for comp in p:
         for (k, i) in comp.letters():
             if k != "x" or i > g:

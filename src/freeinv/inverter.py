@@ -173,8 +173,6 @@ def invert(p, cap: int | None = None, max_terms: int | None = None) -> Inversion
     check_limits(cap, max_terms)
     p = tuple(p)
     g = len(p)
-    if g == 0:
-        raise ArityMismatch("empty map")
     check_alphabet(p, g)
 
     constants = tuple(comp.constant_term() for comp in p)

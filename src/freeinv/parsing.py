@@ -2,7 +2,8 @@
 
 Polynomial grammar: terms joined by + / -; a term is an optional coefficient
 (`3`, `-1/2`, `2i`, `i`, `(1+2i)`) times `*`-joined letters `x1..xg`,
-`y1..`, `z1..`; `^k` repeats a letter.  Whitespace is insignificant.
+`y1..`, `z1..` (indices up to `MAX_INDEX`); `^k` repeats a letter.  A `*`
+after a coefficient takes a letter or `1`.  Whitespace is insignificant.
 Example: ``x2 - x1*x2*x1``.
 
 Bipartite terms separate the two sides with a literal ``(x)``:
@@ -26,7 +27,7 @@ import json
 import re
 from fractions import Fraction
 
-from .freealg import KINDS, FreePoly, word_key, word_str
+from .freealg import KINDS, MAX_INDEX, FreePoly, word_key, word_str
 from .scalars import GaussianRational, as_gaussian, format_scalar, scalar_needs_parens
 
 
@@ -149,10 +150,10 @@ def _parse_word_factors(cur):
         kind, val, _ = cur.peek()
         if kind != "letter":
             break
-        cur.next()
         let = (val[0], int(val[1:]))
-        if let[1] < 1:
-            cur.error(f"letter index must be >= 1 in {val!r}")
+        if not 1 <= let[1] <= MAX_INDEX:
+            cur.error(f"letter index must be from 1 to {MAX_INDEX} in {val!r}")
+        cur.next()
         exponent = 1
         kind, v, _ = cur.peek()
         if kind == "op" and v == "^":
@@ -181,9 +182,12 @@ def _term_prefix(cur):
     kind, val, _ = cur.peek()
     if coeff is not None and kind == "op" and val == "*":
         cur.next()
-        if cur.peek()[:2] == ("number", "1"):
+        kind, val, _ = cur.peek()
+        if (kind, val) == ("number", "1"):
             cur.next()
             return coeff, ()
+        if kind != "letter":
+            cur.error("expected a letter or 1 after '*'")
     return coeff, _parse_word_factors(cur)
 
 

@@ -186,6 +186,11 @@ NUMERIC_INPUT_CASES = [
     (["eval", "-g", "1", "x1", "--at", "[1]"], 2),
     (["eval", "-g", "1", "x1", "--at", '[[["1/0"]]]'], 2),
     (["invert", "-g", "1", "1/0*x1"], 2),
+    # a letter index past the word codec's range, and a `*` with nothing after it
+    (["invert", "-g", "1", "x200000"], 2),
+    (["derive", "-g", "1", "x1 + 2*"], 2),
+    # a system with a z-linear term is not proper
+    (["solve-system", "z1"], 2),
     # a map with a constant term, a Jacobian that is not invertible, a
     # clipped negative, and eval without a point or with too few matrices
     (["aux-iterate", "-g", "2", "-k", "2", "x1 + 1", "x2"], 2),
@@ -320,6 +325,20 @@ def test_internal_error_exits_4_with_traceback(monkeypatch, capsys):
     assert run(["verify", "-g", "1", "--p", "x1", "--q", "2*x1"]) == 1
 
 
+def test_library_unbound_letter_is_an_internal_error(monkeypatch, capsys):
+    # every command checks the alphabet first, so no input reaches this
+    from freeinv import UnboundLetter, deriv
+    from freeinv.cli import run
+
+    def broken(*args, **kwargs):
+        raise UnboundLetter("no substitution image for letter z1")
+
+    monkeypatch.setattr(deriv, "derivative_map", broken)
+    assert run(["derive", "-g", "1", "x1"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "UnboundLetter" in err
+
+
 def test_module_entry_point_exit_codes(tmp_path):
     import os
     import subprocess
@@ -402,3 +421,103 @@ def test_verify_float_on_a_false_pair(capsys):
     )
     assert code == 1
     assert json.loads(out) == {"inverse_pair": False, "sampled_residual": 10.0}
+
+
+# The exact stdout and exit code of every subcommand, as text and with --json.
+GOLDEN = [
+    (
+        ["invert", "-g", "2", "x1", "x2 - x1^2"], 0,
+        "outcome: inverse\nq1 = x1\nq2 = x2 + x1^2\niterations: 2\n",
+        '{"bound_B": 73, "cap_used": 8, "iterations": 2, "outcome": "inverse", "q": ["x1", "x2 + x1^2"]}\n',
+    ),
+    (
+        ["invert", "-g", "2", "x1", "x2 - x1*x2*x1", "--rigorous"], 1,
+        "outcome: not-injective\nreason: degree-exceeded\n",
+        '{"bound_B": 145, "cap_used": 436, "iterations": 74, "outcome": "not-injective",'
+        ' "reason": "degree-exceeded"}\n',
+    ),
+    (
+        ["invert", "-g", "2", "x1", "x2 - x1*x2*x1", "--cap", "4"], 3,
+        "outcome: indeterminate\nreason: cap-exceeded\n",
+        '{"bound_B": 145, "cap_used": 4, "iterations": 2, "outcome": "indeterminate", "reason": "cap-exceeded"}\n',
+    ),
+    (
+        ["jacobian", "-g", "3", "x1 + 2 + x3", "x2*x1 - i*x3"], 0,
+        "constant: ['2', '0']\n[1, 0]\n[0, x1]\n[1, -i]\n",
+        '{"constant": ["2", "0"], "jacobian": [["1", "0"], ["0", "x1"], ["1", "-i"]]}\n',
+    ),
+    (
+        ["aux-iterate", "-g", "2", "x1", "x2 - x1*x2*x1", "-k", "3", "--trunc", "25"], 0,
+        "k = 3\nfloor = 7\nhead1 = x1\nhead2 = x2 + x1*x2*x1 + x1^2*x2*x1^2\ntail1 = 0\ntail2 = x1^3*z2*z1*x1^2\n",
+        '{"floor": 7, "head": ["x1", "x2 + x1*x2*x1 + x1^2*x2*x1^2"], "k": 3, "tail": ["0", "x1^3*z2*z1*x1^2"]}\n',
+    ),
+    (
+        ["aux-iterate", "-g", "2", "x1", "x2 - x1^2", "-k", "1", "--trunc", "1"], 0,
+        "k = 1\nfloor = >1\nhead1 = x1\nhead2 = x2\ntail1 = 0\ntail2 = 0\n",
+        '{"floor": ">1", "head": ["x1", "x2"], "k": 1, "tail": ["0", "0"]}\n',
+    ),
+    (
+        ["solve-system", "x1", "x2 + x1*z2*z1", "--trunc", "7"], 0,
+        "s1 = x1\ns2 = x2 + x1*x2*x1 + x1^2*x2*x1^2 + x1^3*x2*x1^3\n",
+        '{"solution": ["x1", "x2 + x1*x2*x1 + x1^2*x2*x1^2 + x1^3*x2*x1^3"]}\n',
+    ),
+    (
+        ["derive", "-g", "2", "x2 - x1*x2*x1", "x1^3"], 0,
+        "D1 = y2 - x1*x2*y1 - x1*y2*x1 - y1*x2*x1\nD2 = x1^2*y1 + x1*y1*x1 + y1*x1^2\n",
+        '{"derivative": ["y2 - x1*x2*y1 - x1*y2*x1 - y1*x2*x1", "x1^2*y1 + x1*y1*x1 + y1*x1^2"]}\n',
+    ),
+    (
+        ["scion", "-g", "2", "x1", "x2 - x1^2"], 0,
+        "F1 = x1\nF2 = x2 - x1*y1 - y1*x1\nF3 = y1\nF4 = y2\n",
+        '{"scion": ["x1", "x2 - x1*y1 - y1*x1", "y1", "y2"]}\n',
+    ),
+    (
+        ["hypojac", "-g", "2", "x1 - 2*x1^2", "x2"], 0,
+        "[1 (x) 1 - 2*1 (x) y1 - 2*y1 (x) 1, 0]\n[0, 1 (x) 1]\n",
+        '{"hypo_jacobian": [["1 (x) 1 - 2*1 (x) y1 - 2*y1 (x) 1", "0"], ["0", "1 (x) 1"]]}\n',
+    ),
+    (
+        ["check-injective", "-g", "2", "x1", "x2 - x1^2", "--rigorous"], 0,
+        "status: injective (cap 72)\n",
+        '{"cap_used": 72, "certified": true, "inverse": [["1 (x) 1", "1 (x) y1 + y1 (x) 1"], ["0", "1 (x) 1"]],'
+        ' "status": "injective"}\n',
+    ),
+    (
+        ["check-injective", "-g", "2", "x1", "x2 - x1*x2*x1", "--rigorous"], 1,
+        "status: not-injective (cap 144)\n",
+        '{"cap_used": 144, "certified": true, "status": "not-injective"}\n',
+    ),
+    (
+        ["check-injective", "-g", "2", "--cap", "4", "x1", "x2 - x1*x2*x1"], 3,
+        "status: indeterminate (cap 4)\n",
+        '{"cap_used": 4, "certified": false, "status": "indeterminate"}\n',
+    ),
+    (
+        ["eval", "-g", "2", "x1*x2 - x2", "3*x1^2 + i", "--at", POINT], 0,
+        '[["2", "0"], ["3", "3"]]\n[["21+i", "30"], ["45", "66+i"]]\n',
+        '{"values": [[["2", "0"], ["3", "3"]], [["21+i", "30"], ["45", "66+i"]]]}\n',
+    ),
+    (
+        ["verify", "-g", "2", "--p", "x1", "x2 - x1^2", "--q", "x1", "x2 + x1^2"], 0,
+        "inverse pair: True\n",
+        '{"inverse_pair": true}\n',
+    ),
+    (
+        ["verify", "-g", "2", "--p", "x1", "x2 - x1^2", "--q", "x1", "x2 - x1^2"], 1,
+        "inverse pair: False\n",
+        '{"inverse_pair": false}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, text, as_json", GOLDEN, ids=[row[0][0] for row in GOLDEN])
+def test_golden_output(capsys, argv, code, text, as_json):
+    assert run_cli(capsys, *argv) == (code, text, "")
+    assert run_cli(capsys, *argv, "--json") == (code, as_json, "")
+
+
+def test_every_subcommand_has_a_golden_row():
+    assert {argv[0] for argv, *_ in GOLDEN} == {
+        "invert", "jacobian", "aux-iterate", "solve-system", "derive",
+        "scion", "hypojac", "check-injective", "eval", "verify",
+    }

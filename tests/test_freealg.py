@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 from freeinv import BipartitePoly, FreePoly, GaussianRational, UnboundLetter, substitute
-from freeinv.freealg import POS_INF, substitute_tracked
+from freeinv.freealg import KINDS, POS_INF, substitute_tracked
 
 import strategies as S
 
@@ -155,6 +156,15 @@ def test_substitute_unbound_letter():
         pass
     else:
         raise AssertionError("expected UnboundLetter")
+
+
+def test_letter_index_range():
+    # 185,685 is the last index that every kind can encode
+    for kind in KINDS:
+        assert FreePoly.letter(kind, 185_685).letters() == {(kind, 185_685)}
+    for kind, index in [("k", 185_686), ("x", 185_686), ("x", 200_000)]:
+        with pytest.raises(ValueError, match="not a letter"):
+            FreePoly.letter(kind, index)
 
 
 def test_substitute_tracked_reports_truncation():

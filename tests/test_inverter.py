@@ -229,6 +229,12 @@ def test_invert_arity_mismatch():
         invert((FreePoly.letter("y", 1),))
 
 
+@pytest.mark.parametrize("decide", [invert, injectivity_test])
+def test_empty_map_is_an_arity_mismatch(decide):
+    with pytest.raises(ArityMismatch, match="empty map"):
+        decide(())
+
+
 def test_verify_inverse_examples():
     assert verify_inverse(P_TWISTED, Q_TWISTED)
     p = (x1, x2 + x1**2)

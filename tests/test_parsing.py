@@ -52,6 +52,14 @@ def test_zeroth_power_is_the_empty_word(text, value):
     assert parse_poly(text) == value
 
 
+def test_coefficient_times_the_empty_word():
+    y1 = (("y", 1),)
+    assert parse_poly("2*1") == FreePoly.scalar(2)
+    assert parse_poly("x1 + (1+2i)*1") == x1 + FreePoly.scalar(parse_scalar("1+2i"))
+    assert parse_bipartite("2*1 (x) y1") == BipartitePoly({((), y1): 2})
+    assert parse_poly("k185685") == FreePoly.letter("k", 185685)
+
+
 def test_round_trip_canonical():
     s = "x2 - x1*x2*x1"
     assert format_poly(parse_poly(s)) == s
@@ -134,6 +142,18 @@ def parse_error(parse, text):
         (parse_bipartite, "(1+i (x) 1", "expected ')' (line 1, col 6)"),
         (parse_bipartite, "y1 (x) 1 x1", "unexpected token 'x1' (line 1, col 10)"),
         (parse_bipartite, "y1 (x) y2 (x) 1", "unexpected token '(x)' (line 1, col 11)"),
+        # a `*` after a coefficient needs a letter or the empty word `1`
+        (parse_poly, "2*", "expected a letter or 1 after '*' (line 1, col 3)"),
+        (parse_poly, "x1 + 2*", "expected a letter or 1 after '*' (line 1, col 8)"),
+        (parse_poly, "(1+2i)*", "expected a letter or 1 after '*' (line 1, col 8)"),
+        (parse_poly, "2* + x1", "expected a letter or 1 after '*' (line 1, col 4)"),
+        (parse_bipartite, "2* (x) 1", "expected a letter or 1 after '*' (line 1, col 4)"),
+        (parse_bipartite, "1 (x) 1 - 2*", "expected a letter or 1 after '*' (line 1, col 13)"),
+        # a letter index the word codec cannot encode is reported at the letter
+        (parse_poly, "x200000", "letter index must be from 1 to 185685 in 'x200000' (line 1, col 1)"),
+        (parse_poly, "x1*k185686", "letter index must be from 1 to 185685 in 'k185686' (line 1, col 4)"),
+        (parse_poly, "x0 + x1", "letter index must be from 1 to 185685 in 'x0' (line 1, col 1)"),
+        (parse_bipartite, "y1 (x) y185686", "letter index must be from 1 to 185685 in 'y185686' (line 1, col 8)"),
         (parse_scalar, "1 2", "unexpected token '2' (line 1, col 3)"),
         (parse_scalar, "1 + x1", "expected a number (line 1, col 5)"),
     ],
