@@ -103,10 +103,8 @@ def _render_tuple(name, p):
     return strings, [f"{name}{i} = {s}" for i, s in enumerate(strings, 1)]
 
 
-def cmd_invert(args):
-    p = _parse_map(args.poly, args.g)
-    cap = None if args.rigorous else args.cap
-    outcome = inverter.invert(p, cap=cap, max_terms=args.max_terms or None)
+def _verdict(outcome):
+    """An `InversionOutcome` as a command result."""
     lines = [f"outcome: {outcome.outcome}"]
     if outcome.is_inverse:
         lines += _render_tuple("q", outcome.q)[1]
@@ -114,6 +112,12 @@ def cmd_invert(args):
     elif outcome.reason:
         lines.append(f"reason: {outcome.reason}")
     return outcome.to_jsonable(), lines, EXIT_CODES[outcome.outcome]
+
+
+def cmd_invert(args):
+    p = _parse_map(args.poly, args.g)
+    cap = None if args.rigorous else args.cap
+    return _verdict(inverter.invert(p, cap=cap, max_terms=args.max_terms or None))
 
 
 def cmd_jacobian(args):
@@ -134,7 +138,8 @@ def cmd_aux_iterate(args):
     if isinstance(j_inv, jacobian.NotPolyInvertible):
         if j_inv.reason == jacobian.REASON_TERM_BUDGET:
             raise Stop(EXIT_INDETERMINATE, f"{out_of_budget} while inverting the Jacobian")
-        raise Stop(EXIT_NEGATIVE, f"error: Jacobian not polynomially invertible ({j_inv.reason})")
+        # a certified negative, reported as `invert` reports it
+        return _verdict(inverter.gate_outcome(j_inv))
     system = jacobian.auxiliary_inverse(p, j_inv)
     # the budget bounds every iterate on the way to the k-th, as in `invert`
     for split in sysolve.iterates(system, args.trunc):

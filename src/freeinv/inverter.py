@@ -16,6 +16,16 @@ then those at every larger w) or when w is the cap; only a final decision
 may end the search without an inverse, and it reports the cap.  Positives
 report the w of their own pass, and a term-budget exit ends the search at
 its own w.
+
+A pass that must escalate hands the next pass its last exact split, and the
+next pass resumes the iteration after it instead of replaying its steps.
+That is sound because an exact split is the untruncated iterate, the same at
+every w, and its decision does not read w: for it `final` and the floor-None
+gap are both True, and every other test reads only the split and the state
+(the last head degree and the head size at the last attempt) that the splits
+before it left.  So splits 1..k' of the pass at 2w would decide as the pass
+at w did, none of them ending the search, and leave the same state, which
+the pass at w hands on with the split.
 """
 
 from __future__ import annotations
@@ -77,6 +87,17 @@ def jacobian_gate(p0, max_terms=None):
     term budget cut it short)."""
     _, jac = jacobian_extract(p0)
     return poly_matrix_inverse(jac, rigorous_cap(jac), max_terms=max_terms)
+
+
+def gate_outcome(failure) -> InversionOutcome:
+    """The answer of `invert` when the Jacobian gate returns the
+    NotPolyInvertible `failure`: not injective, or indeterminate when the
+    term budget cut the gate short."""
+    if failure.reason == REASON_SINGULAR_CONSTANT:
+        return InversionOutcome(OUTCOME_NOT_INJECTIVE, reason=REASON_SINGULAR_JACOBIAN_CONSTANT)
+    if failure.reason == REASON_TERM_BUDGET:
+        return InversionOutcome(OUTCOME_INDETERMINATE, reason=REASON_BUDGET, cap_used=failure.cap)
+    return InversionOutcome(OUTCOME_NOT_INJECTIVE, reason=REASON_JACOBIAN_NOT_POLY_INVERTIBLE)
 
 
 @dataclass(frozen=True)
@@ -180,17 +201,7 @@ def invert(p, cap: int | None = None, max_terms: int | None = None) -> Inversion
 
     j_inv = jacobian_gate(p0, max_terms)
     if isinstance(j_inv, NotPolyInvertible):
-        if j_inv.reason == REASON_SINGULAR_CONSTANT:
-            return InversionOutcome(
-                OUTCOME_NOT_INJECTIVE, reason=REASON_SINGULAR_JACOBIAN_CONSTANT
-            )
-        if j_inv.reason == REASON_TERM_BUDGET:
-            return InversionOutcome(
-                OUTCOME_INDETERMINATE, reason=REASON_BUDGET, cap_used=j_inv.cap
-            )
-        return InversionOutcome(
-            OUTCOME_NOT_INJECTIVE, reason=REASON_JACOBIAN_NOT_POLY_INVERTIBLE
-        )
+        return gate_outcome(j_inv)
 
     # an inverted Jacobian is nonzero, so p0 has degree >= 1
     deg_p = int(map_degree(p0))
@@ -202,11 +213,14 @@ def invert(p, cap: int | None = None, max_terms: int | None = None) -> Inversion
     outcome = partial(InversionOutcome, bound_B=bound)
     capped = partial(outcome, OUTCOME_INDETERMINATE, reason=REASON_CAP, cap_used=w_outer)
 
-    def run(w):
-        """One pass of the iteration at working degree w; None asks for a larger w."""
-        prev_head_deg = None
-        last_attempt = None
-        for split in iterates(system, w):
+    def run(w, start=None, prev_head_deg=None, last_attempt=None):
+        """One pass of the iteration at working degree w, resumed after the
+        exact split `start` with the state the pass that yielded it had
+        there.  Returns the answer, or asks for a larger w by returning the
+        record (split, prev_head_deg, last_attempt) of the last exact split
+        so far, the one it was given if this pass yielded none."""
+        resume = (start, prev_head_deg, last_attempt)
+        for split in iterates(system, w, start):
             k = split.k
             # an exact split is the untruncated iterate, so every decision up
             # to here is the one the pass at w_outer would make
@@ -219,7 +233,7 @@ def invert(p, cap: int | None = None, max_terms: int | None = None) -> Inversion
             head_deg_int = 0 if head_deg == NEG_INF else int(head_deg)
             if head_deg_int > bound or k > bound:
                 if not final:
-                    return None
+                    return resume
                 if not rigorous:
                     return capped(iterations=k)
                 reason = (
@@ -249,13 +263,18 @@ def invert(p, cap: int | None = None, max_terms: int | None = None) -> Inversion
             if split.floor is None:
                 # no z-words below the working degree: the iteration is now
                 # stationary, so nothing further can be learned at this cap
-                return capped(iterations=k) if final else None
+                return capped(iterations=k) if final else resume
             prev_head_deg = head_deg_int
+            if split.exact:
+                resume = (split, prev_head_deg, last_attempt)
 
     # escalate the working degree: positive answers are cap-independent (they
     # are verified by exact composition), so cheap passes go first; a budget
-    # exit ends the search at its own w, and any other answer needs a final pass
+    # exit ends the search at its own w, and any other answer needs a final
+    # pass, which resumes after the last exact split of the pass before it
     w = min(8, w_outer)
-    while (answer := run(w)) is None:
+    resume = ()
+    while not isinstance(answer := run(w, *resume), InversionOutcome):
+        resume = answer
         w = min(2 * w, w_outer)
     return answer

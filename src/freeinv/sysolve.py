@@ -8,7 +8,11 @@ constant-term-free substitution never shortens words.
 
 `iterates` is the one fixed-point loop: it yields the head/tail split of every
 truncated self-composition in turn, and `iterate_split`, `solve_truncated`
-(hence `implicit_solve`) and the inversion driver all consume it.
+(hence `implicit_solve`) and the inversion driver all consume it.  A run
+can resume after an exact split of an earlier run on the same system, at
+any working degree: that split is the untruncated iterate, so the inversion
+driver's pass at a larger working degree steps on from it instead of
+repeating the steps that led there.
 
 The iterate is held factored, per component:
 
@@ -84,7 +88,8 @@ length >= floor, and substitution never shortens a word; so the buckets
 below the floor are final.  An iterate-side step never reads or copies
 their words, and copies a bucket at or above the floor when it first writes
 to it; a system-side step builds every bucket afresh.  Either way a split
-yielded earlier stays valid however far the generator runs.  The head (the
+yielded earlier stays valid however far the generator runs, or a run
+resumed from it.  The head (the
 buckets below the floor) therefore only grows from one iterate to the
 next, and its size tells whether it changed.
 """
@@ -375,9 +380,15 @@ _WIDE = 4
 _GROUPS_PER_TERM = 2
 
 
-def iterates(system, trunc: int):
+def iterates(system, trunc: int, start: IterateSplit | None = None):
     """Yield the split of the k-th self-composition, truncated at degree
     `trunc`, for k = 1, 2, ...; `exact` stays True while no word was dropped.
+
+    `start` resumes an earlier run on the same system: it must be an exact
+    split, which is the untruncated iterate T_k and so the k-th iterate at
+    every working degree, and the run steps it at `trunc` and yields from
+    k + 1 on, the splits a fresh run at `trunc` would yield there.  An
+    inexact `start` raises ValueError.
 
     Runs on one `ProperAlgebraicSystem` share its image set and so its
     suffix memo; any other sequence of components gets a system of its own."""
@@ -385,19 +396,24 @@ def iterates(system, trunc: int):
         raise ImproperSystem("system must be constant-term-free with z-degree floor > 1")
     if not isinstance(system, ProperAlgebraicSystem):
         system = ProperAlgebraicSystem(system)
-    comps = system.components
     first_z = system.images.patterns()[0]
     degrees = system.images.degrees
-    current = tuple(c.truncate(trunc) for c in comps)
-    exact = all(len(cur) == len(orig) for cur, orig in zip(current, comps))
-    iterate = tuple(_factored(comp._terms, first_z) for comp in current)
-    for k in count(1):
-        yield IterateSplit(k, iterate, exact)
+    if start is None:
+        comps = system.components
+        current = tuple(c.truncate(trunc) for c in comps)
+        exact = all(len(cur) == len(orig) for cur, orig in zip(current, comps))
+        start = IterateSplit(1, tuple(_factored(comp._terms, first_z) for comp in current), exact)
+        yield start
+    elif not start.exact:
+        raise ValueError("a run can resume only from an exact split")
+    iterate, exact = start._iterate, start.exact
+    for k in count(start.k + 1):
         # the flag of each group (beta, l): deg(beta) > trunc - l
         exact = exact and not any(
             degrees(beta, True)[1] > trunc - ell for _, zwords in iterate for beta, ell in zwords
         )
         iterate = _step(system, iterate, trunc, first_z)
+        yield IterateSplit(k, iterate, exact)
 
 
 def iterate_split(system, k: int, trunc: int) -> IterateSplit:

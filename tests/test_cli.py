@@ -268,6 +268,17 @@ def test_aux_iterate_term_budget_is_indeterminate(capsys):
     assert code == 0 and out.startswith("k = 3")
 
 
+def test_aux_iterate_certified_negative_is_a_verdict(capsys):
+    # the Jacobian of (x1 - x1^2, x2) has no polynomial inverse: the verdict
+    # of `invert`, on stdout and with exit 1, not an error line
+    argv = ("aux-iterate", "-g", "2", "-k", "2", "x1 - x1^2", "x2")
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"outcome": "not-injective", "reason": "jacobian-not-poly-invertible"}
+    assert run_cli(capsys, *argv) == (1, "outcome: not-injective\nreason: jacobian-not-poly-invertible\n", "")
+    assert run_cli(capsys, "invert", "-g", "2", "--rigorous", "--json", "x1 - x1^2", "x2")[1] == out
+
+
 def test_aux_iterate_term_budget_bounds_the_iteration(capsys):
     # NILPOTENT passes the Jacobian gate; its iterates then double in size
     nilpotent = ("x1 + x1^2 + x2*x1", "x2 - x1^2 - x2*x1")

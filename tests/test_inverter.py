@@ -121,15 +121,17 @@ def test_invert_rigorous_family(a, b, bound, cap):
 @pytest.mark.parametrize(
     "p, expected, steps",
     [
-        (P_CLASSIC, ("not-injective", "degree-exceeded", 74, 145, 436), 192),
-        ((x1, x2 - x1 * x2 * x1**2), ("not-injective", "degree-exceeded", 74, 217, 869), 153),
-        ((x1, x2 - x1**2 * x2 * x1), ("not-injective", "degree-exceeded", 74, 217, 869), 153),
-        ((x1, x2 - x1**2 * x2 * x1**2), ("not-injective", "degree-exceeded", 74, 289, 1446), 193),
+        (P_CLASSIC, ("not-injective", "degree-exceeded", 74, 145, 436), 78),
+        ((x1, x2 - x1 * x2 * x1**2), ("not-injective", "degree-exceeded", 74, 217, 869), 78),
+        ((x1, x2 - x1**2 * x2 * x1), ("not-injective", "degree-exceeded", 74, 217, 869), 78),
+        ((x1, x2 - x1**2 * x2 * x1**2), ("not-injective", "degree-exceeded", 74, 289, 1446), 79),
     ],
 )
 def test_invert_exact_pass_is_final(monkeypatch, p, expected, steps):
     # these iterations never drop a word, so the first pass that reaches the
-    # decision is final: no pass at a larger working degree repeats its steps
+    # decision is final, and a pass that escalates resumes after the last
+    # exact split of the pass before it: no pass repeats an exact step of an
+    # earlier pass
     calls = []
     step = sysolve._step
     monkeypatch.setattr(sysolve, "_step", lambda *args: calls.append(1) or step(*args))

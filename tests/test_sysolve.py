@@ -298,6 +298,44 @@ def test_splits_stay_valid_after_the_generator_moves_on(system, trunc, n):
         assert split.head_degree() == max((h.degree() for h in split.head), default=float("-inf"))
 
 
+@pytest.mark.parametrize(
+    "maps, w, n",
+    [
+        ([NILPOTENT], 6, 6),
+        ([family(1, 1), family(1, 2), family(2, 1), family(2, 2)], 8, 12),
+        ([sandwich()], 8, 8),
+        (tame_maps(20), 4, 4),
+    ],
+    ids=["nilpotent", "family", "sandwich", "tame"],
+)
+def test_resume_from_the_last_exact_split(maps, w, n):
+    # an exact split is the untruncated iterate, so a run at 2w resumed after
+    # it yields what a fresh run at 2w yields from there on
+    resumed_after_a_drop = 0
+    for p in maps:
+        system = aux_system(p)
+        splits = list(islice(iterates(system, w), n))
+        exact = [s for s in splits if s.exact]
+        if not exact:
+            # truncated from the first split on: nothing to resume from
+            continue
+        start = exact[-1]
+        resumed_after_a_drop += start is not splits[-1]
+        resumed = list(islice(iterates(system, 2 * w, start=start), n))
+        fresh = list(islice(iterates(system, 2 * w), start.k, start.k + n))
+        assert resumed == fresh
+        assert [s.k for s in resumed] == list(range(start.k + 1, start.k + n + 1))
+    # the run at w dropped a word after its last exact split on some map
+    assert resumed_after_a_drop
+
+
+def test_resume_needs_an_exact_split():
+    start = next(iterates(CLASSIC_SYSTEM, 2))
+    assert not start.exact
+    with pytest.raises(ValueError, match="exact"):
+        next(iterates(CLASSIC_SYSTEM, 4, start=start))
+
+
 def test_iterates_at_degree_zero():
     # everything is truncated away: one inexact, z-free, empty split per k
     splits = list(islice(iterates(CLASSIC_SYSTEM, 0), 3))
