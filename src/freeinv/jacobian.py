@@ -196,9 +196,12 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
     M0^-1 once, A_d = M0^-1 N_d, and each entry of A_d is prepared as a left
     factor once (`_left`), so that R_m = A_1 R_{m-1} + ... + A_e R_{m-e} is
     one `_mac` pass into raw dicts, settled once; only the last e layers are
-    kept.  Layers have distinct degrees, so their keys are disjoint: each
-    entry is merged into the total's term dicts once, and the total's
-    polynomials are built at the end.
+    kept for the recurrence.  Each nonzero layer's term dicts are appended to
+    one list per entry of R, and nothing is summed while the series runs, so
+    a negative, capped or budget-cut call builds no inverse.  Layers have
+    distinct degrees, so their keys are disjoint: once e zero layers have
+    closed the series, each entry's dicts are joined by `dict.update`, which
+    reuses the stored key hashes, and R is built from them.
     """
     if M.rows != M.cols:
         raise ValueError("only square matrices can be inverted")
@@ -230,12 +233,13 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
                 if inv_row[l]:
                     mac(cells.setdefault((i, k), {}), left({one: inv_row[l]}), t.items())
         a_parts.append((d, [(i, k, left(_settled(t))) for (i, k), t in sorted(cells.items()) if t]))
-    layer = [{j: {one: c} for j, c in enumerate(row) if c} for row in m0_inv]
+    # kept[i][j] lists the term dicts of R[i][j], one per nonzero layer
+    kept = [[[{one: c}] if c else [] for c in row] for row in m0_inv]
+    layer = [{j: cell[0] for j, cell in enumerate(row) if cell} for row in kept]
+    terms = sum(map(len, layer))  # R_0 has one term per nonzero entry
     # window[-d] is the layer d degrees below the next one; the shared empty
     # rows stand for the zero layers below degree 0 and are never written
     window = deque([[{}] * n] * (deg_n - 1) + [layer], maxlen=deg_n)
-    total = [[{} for _ in range(n)] for _ in range(n)]
-    terms = _merge(total, layer)
     zero_run = 0
     for m in range(1, degree_cap + deg_n + 1):
         acc = [{} for _ in range(n)]
@@ -255,10 +259,17 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
         if m > degree_cap:
             return NotPolyInvertible(REASON_NO_INVERSE_UP_TO_CAP, degree_cap)
         zero_run = 0
-        terms += _merge(total, layer)
+        for kept_row, row in zip(kept, layer):
+            for j, t in row.items():
+                kept_row[j].append(t)
+                terms += len(t)
         if max_terms is not None and terms > max_terms:
             return NotPolyInvertible(REASON_TERM_BUDGET, degree_cap)
-    R = cls([[ring._raw(t) for t in row] for row in total])
+    for row in kept:
+        for cell in row:
+            for t in cell[1:]:
+                cell[0].update(t)
+    R = cls([[ring._raw(cell[0] if cell else {}) for cell in row] for row in kept])
     ident = cls.identity(n)
     if M * R == ident and R * M == ident:
         return R
@@ -307,17 +318,6 @@ def _lone_non_unit(entries, one):
         else:
             return True
     return False
-
-
-def _merge(total, layer):
-    """Add a layer's term dicts to the total's; returns their term count."""
-    count = 0
-    for total_row, row in zip(total, layer):
-        for j, t in row.items():
-            # a dict-to-dict update reuses the stored key hashes
-            total_row[j].update(t)
-            count += len(t)
-    return count
 
 
 def auxiliary_inverse(p, j_inv: PolyMatrix):

@@ -2,8 +2,9 @@
 
 Polynomial grammar: terms joined by + / -; a term is an optional coefficient
 (`3`, `-1/2`, `2i`, `i`, `(1+2i)`) times `*`-joined letters `x1..xg`,
-`y1..`, `z1..` (indices up to `MAX_INDEX`); `^k` repeats a letter.  A `*`
-after a coefficient takes a letter or `1`.  Whitespace is insignificant.
+`y1..`, `z1..` (indices up to `MAX_INDEX`); `^k` repeats a letter, in words
+of at most `MAX_WORD_LENGTH` letters.  A `*` after a coefficient takes a
+letter or `1`.  Whitespace is insignificant.
 Example: ``x2 - x1*x2*x1``.
 
 Bipartite terms separate the two sides with a literal ``(x)``:
@@ -29,6 +30,10 @@ from fractions import Fraction
 
 from .freealg import KINDS, MAX_INDEX, FreePoly, word_key, word_str
 from .scalars import GaussianRational, as_gaussian, format_scalar, scalar_needs_parens
+
+# the longest word `^k` may build; a longer one is an input error, not a
+# list too large for memory
+MAX_WORD_LENGTH = 2**20
 
 
 class ParseError(ValueError):
@@ -147,7 +152,7 @@ def _parse_word_factors(cur):
     """`*`-joined letters with optional ^k; returns a word (possibly empty)."""
     word = []
     while True:
-        kind, val, _ = cur.peek()
+        kind, val, at = cur.peek()
         if kind != "letter":
             break
         let = (val[0], int(val[1:]))
@@ -158,11 +163,18 @@ def _parse_word_factors(cur):
         kind, v, _ = cur.peek()
         if kind == "op" and v == "^":
             cur.next()
-            kind2, v2, _ = cur.peek()
+            kind2, v2, at = cur.peek()
             if kind2 != "number":
                 cur.error("expected an exponent after '^'")
             cur.next()
-            exponent = int(v2)
+            # int() refuses very long digit strings, and an exponent with
+            # more significant digits than the limit is past it
+            too_long = len(v2.lstrip("0")) > len(str(MAX_WORD_LENGTH))
+            exponent = MAX_WORD_LENGTH + 1 if too_long else int(v2)
+        if len(word) + exponent > MAX_WORD_LENGTH:
+            # reported at the letter or exponent that makes the word too long
+            message = f"a word may have at most {MAX_WORD_LENGTH} letters"
+            raise ParseError(message, *_position(cur.text, at))
         word.extend([let] * exponent)
         kind, v, _ = cur.peek()
         if kind == "op" and v == "*":

@@ -189,6 +189,9 @@ NUMERIC_INPUT_CASES = [
     # a letter index past the word codec's range, and a `*` with nothing after it
     (["invert", "-g", "1", "x200000"], 2),
     (["derive", "-g", "1", "x1 + 2*"], 2),
+    # a word too long to build, and an exponent too long for int()
+    (["derive", "-g", "1", "x1^100000000"], 2),
+    (["derive", "-g", "1", "x1^" + "9" * 5000], 2),
     # a system with a z-linear term is not proper
     (["solve-system", "z1"], 2),
     # a map with a constant term, a Jacobian that is not invertible, a

@@ -154,6 +154,12 @@ def parse_error(parse, text):
         (parse_poly, "x1*k185686", "letter index must be from 1 to 185685 in 'k185686' (line 1, col 4)"),
         (parse_poly, "x0 + x1", "letter index must be from 1 to 185685 in 'x0' (line 1, col 1)"),
         (parse_bipartite, "y1 (x) y185686", "letter index must be from 1 to 185685 in 'y185686' (line 1, col 8)"),
+        # a word longer than MAX_WORD_LENGTH = 2**20 letters is reported at the
+        # letter or exponent that makes it so, before its letters are built
+        (parse_poly, "x1^100000000", "a word may have at most 1048576 letters (line 1, col 4)"),
+        (parse_poly, "x1*x2^1048576", "a word may have at most 1048576 letters (line 1, col 7)"),
+        (parse_poly, "x1^1048576*x2", "a word may have at most 1048576 letters (line 1, col 12)"),
+        (parse_bipartite, "1 (x) y1^" + "9" * 5000, "a word may have at most 1048576 letters (line 1, col 10)"),
         (parse_scalar, "1 2", "unexpected token '2' (line 1, col 3)"),
         (parse_scalar, "1 + x1", "expected a number (line 1, col 5)"),
     ],

@@ -7,17 +7,21 @@ zero layers stop early, and the total is returned only if M*R = I = R*M.  It
 shares nothing with the engine but the polynomial ring arithmetic.
 """
 
+import tracemalloc
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from freeinv import BipartiteMatrix, FreePoly, PolyMatrix
+from freeinv import BipartiteMatrix, FreePoly, PolyMatrix, injectivity_test
 from freeinv.jacobian import (
     REASON_NO_INVERSE_UP_TO_CAP,
     REASON_TERM_BUDGET,
     NotPolyInvertible,
     poly_matrix_inverse,
 )
+
+from corpus import NILPOTENT
 
 one = FreePoly.one()
 x1, x2 = FreePoly.letter("x", 1), FreePoly.letter("x", 2)
@@ -253,3 +257,18 @@ def test_term_budget_counts_layers_up_to_the_cap(cap, reason):
         reason, cap
     )
 
+
+def test_budget_cut_series_builds_no_inverse():
+    # NILPOTENT's budgeted hypo-Jacobian series is cut on its 14th layer,
+    # after 65,530 terms.  The layers are kept, not summed, so the call peaks
+    # at about 6.6 MiB (CPython 3.11); summing them as they come adds a second
+    # dict entry for every term and passes 8 MiB
+    injectivity_test(NILPOTENT, cap=24, max_terms=50_000)  # warm caches and imports
+    tracemalloc.start()
+    try:
+        res = injectivity_test(NILPOTENT, cap=24, max_terms=50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.cap_used) == ("indeterminate", 24)
+    assert peak < 7.3 * 2**20
