@@ -163,7 +163,9 @@ class Poly:
     `BipartitePoly` key is the left word, the separator chr(0) and the right
     word reversed (see `freeinv.bipartite`).  A prepared left factor is the
     items view of a `FreePoly` dict, and (left word, reversed right word,
-    coefficient) triples for a `BipartitePoly`.
+    coefficient) triples for a `BipartitePoly`.  The free kernel runs the
+    longer of its two (sized) factors in its inner loop, keys still left word
+    first; the bipartite one its right factor, the longer in the series.
     """
 
     __slots__ = ("_terms",)
@@ -320,6 +322,18 @@ class FreePoly(Poly):
     @staticmethod
     def _mac(out, a, pairs):
         get = out.get
+        if len(a) > len(pairs):
+            for k2, c2 in pairs:
+                for k1, c1 in a:
+                    k = k1 + k2
+                    prev = get(k)
+                    if prev is None:
+                        out[k] = c1 * c2
+                    elif s := prev + c1 * c2:
+                        out[k] = s
+                    else:
+                        del out[k]
+            return
         for k1, c1 in a:
             for k2, c2 in pairs:
                 k = k1 + k2

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .freealg import KINDS, MAX_INDEX, FreePoly, word_key, word_str
@@ -89,6 +90,15 @@ class _Cursor:
         raise ParseError(message, *_position(self.text, self.peek()[2]))
 
 
+def _int(cur, digits):
+    """int(digits) for the token at the cursor; int() refuses more digits
+    than the interpreter's limit, an input error at that token."""
+    try:
+        return int(digits)
+    except ValueError:
+        cur.error(f"a number may have at most {sys.get_int_max_str_digits()} digits")
+
+
 def _parse_simple_scalar(cur, *, allow_sign=False):
     """INT[/INT]['i'|'j'] or bare 'i'; returns GaussianRational."""
     sign = 1
@@ -102,18 +112,19 @@ def _parse_simple_scalar(cur, *, allow_sign=False):
         return GaussianRational(0, sign)
     if kind != "number":
         cur.error("expected a number")
+    num = Fraction(_int(cur, val))
     cur.next()
-    num = Fraction(int(val))
     kind, val, _ = cur.peek()
     if kind == "op" and val == "/":
         cur.next()
         kind2, val2, _ = cur.peek()
         if kind2 != "number":
             cur.error("expected a denominator after '/'")
-        if not int(val2):
+        den = _int(cur, val2)
+        if not den:
             cur.error("zero denominator")
         cur.next()
-        num /= int(val2)
+        num /= den
     kind, val, _ = cur.peek()
     if kind == "op" and val in ("i", "j"):
         cur.next()
@@ -155,7 +166,7 @@ def _parse_word_factors(cur):
         kind, val, at = cur.peek()
         if kind != "letter":
             break
-        let = (val[0], int(val[1:]))
+        let = (val[0], _int(cur, val[1:]))
         if not 1 <= let[1] <= MAX_INDEX:
             cur.error(f"letter index must be from 1 to {MAX_INDEX} in {val!r}")
         cur.next()
@@ -327,7 +338,8 @@ def parse_matrix_tuple(text: str):
     from .mateval import MatrixTuple
 
     try:
-        data = json.loads(text)
+        # integers stay digit strings, read by `parse_scalar` like strings
+        data = json.loads(text, parse_int=str)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     if not isinstance(data, list) or not data:

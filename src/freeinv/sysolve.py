@@ -48,7 +48,7 @@ per term of a, and the iterate side otherwise.  Measured per step (CPython
 heaviest seed-8 tame maps, whose T_2 has 1,810 terms in 942 groups against
 27 terms of a, the iterate side takes 20-26 ms and the system side 5-7 ms;
 NILPOTENT's iterates keep two groups while their terms double, and its step
-on 32,766 terms takes 10 ms on the iterate side against 73 ms on the system
+on 32,766 terms takes 9 ms on the iterate side against 65-90 ms on the system
 side; the family maps (x1, x2 - x1^a x2 x1^b), one group against 3 terms,
 take 0.02 ms against 0.08 ms (medians).  Over the 104 tame steps the rule
 takes 0.059 s, the iterate side alone 0.107 s and the better side of each
@@ -326,8 +326,9 @@ def _into_iterate(images, iterate, trunc, first_z):
     image set's memo; the memo keeps it across l, steps and passes, and the
     step keeps no cache of its own.  A group with many prefixes u files tau
     with `_factored`, as T_1 is filed, and writes u tau straight into tau's
-    buckets and groups, each length and prefix length shifted by l.  A group
-    with few would pay a target lookup per term of tau for one or two
+    buckets and groups, each length and prefix length shifted by l; `_mac`
+    runs the prefixes in its inner loop when they outnumber a part's terms.
+    A group with few would pay a target lookup per term of tau for one or two
     products, so its words go to one flat dict, which is split by first
     z-letter once all products (which often merge) are in.
     """
@@ -351,13 +352,11 @@ def _into_iterate(images, iterate, trunc, first_z):
             if len(us) < _WIDE:
                 mac(flat, us.items(), tau._terms.items())
                 continue
-            # lists, not dict views: `_mac` runs over each part once per u
-            # (with views NILPOTENT's budgeted invert calls ran 10-13 % slower)
             tau_free, tau_zwords = _factored(tau._terms, first_z)
             for n, part in tau_free.items():
-                mac(bucket(ell + n), us.items(), list(part.items()))
+                mac(bucket(ell + n), us.items(), part.items())
             for (suffix, j), part in tau_zwords.items():
-                mac(new_zwords.setdefault((suffix, ell + j), {}), us.items(), list(part.items()))
+                mac(new_zwords.setdefault((suffix, ell + j), {}), us.items(), part.items())
         _file(flat, bucket, new_zwords, first_z)
         for n in written:
             if free[n]:

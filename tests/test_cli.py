@@ -192,6 +192,9 @@ NUMERIC_INPUT_CASES = [
     # a word too long to build, and an exponent too long for int()
     (["derive", "-g", "1", "x1^100000000"], 2),
     (["derive", "-g", "1", "x1^" + "9" * 5000], 2),
+    # a coefficient or matrix entry longer than int() reads (4,300 digits)
+    (["derive", "-g", "1", "9" * 5000 + "*x1"], 2),
+    (["eval", "-g", "1", "x1", "--at", '[[["' + "9" * 5000 + '"]]]'], 2),
     # a system with a z-linear term is not proper
     (["solve-system", "z1"], 2),
     # a map with a constant term, a Jacobian that is not invertible, a

@@ -8,8 +8,9 @@ un-narrowed (re, im) pair of Fractions.  Nothing here calls the arithmetic of
 compared by value, and the type of every stored coefficient is compared with
 the narrowest type of its value (int, else Fraction, else GaussianRational).
 `Poly.__mul__`, `Matrix.__mul__` and `poly_matrix_inverse` run on the
-kernels; `linalg.inverse` and `linalg.solve` on the fraction-free
-elimination.
+kernels, and the free kernel is also called directly on a term dict that
+already holds terms; `linalg.inverse` and `linalg.solve` run on the
+fraction-free elimination.
 """
 
 from fractions import Fraction
@@ -270,6 +271,26 @@ def test_poly_product_matches_reference(data):
     ring = data.draw(rings)
     f, g = data.draw(ref_polys(ring)), data.draw(ref_polys(ring))
     assert observe(build(f, ring) * build(g, ring)) == r_mul(f, g, ring)
+
+
+@given(st.data())
+def test_free_kernel_accumulates_the_reference_product(data):
+    # `FreePoly._mac` runs the longer factor in its inner loop: draw the left
+    # factor longer and shorter than the right one, and start from an `out`
+    # that already holds terms, some of them the negated products
+    m, n = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    f = data.draw(st.dictionaries(x_words, nonzero_scalars, min_size=m, max_size=m))
+    g = data.draw(st.dictionaries(x_words, nonzero_scalars, min_size=n, max_size=n))
+    prod = r_mul(f, g, Words)
+    cancelled = data.draw(st.sets(st.sampled_from(sorted(prod)))) if prod else set()
+    start = r_add(data.draw(ref_polys(Words)), {k: s_neg(prod[k]) for k in cancelled})
+    out = dict(build(start, Words)._terms)
+    pairs = data.draw(st.sampled_from((dict.items, lambda d: list(d.items()))))
+    FreePoly._mac(out, FreePoly._left(build(f, Words)._terms), pairs(build(g, Words)._terms))
+    # the kernel leaves narrowing to its callers: compare by value
+    got = {k: value(c) for k, c in FreePoly._raw(out).terms()}
+    assert ZERO not in got.values()
+    assert got == r_add(start, prod)
 
 
 x1, x2 = (("x", 1),), (("x", 2),)

@@ -1,5 +1,6 @@
 """Grammar round trips and parse errors."""
 
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -23,6 +24,9 @@ from hypothesis import example, given
 
 x1 = FreePoly.letter("x", 1)
 x2 = FreePoly.letter("x", 2)
+# a digit string longer than int() reads (4,300 digits by default)
+LONG = "9" * 5000
+TOO_LONG = f"a number may have at most {sys.get_int_max_str_digits()} digits"
 
 
 def test_parse_basic():
@@ -105,6 +109,9 @@ def test_matrix_tuple_errors():
         parse_matrix_tuple("not json")
     with pytest.raises(ParseError):
         parse_matrix_tuple('[[["1","0"]]]')  # not square
+    # an entry longer than int() reads, as a JSON string or number
+    for entry in (f'"{LONG}"', LONG, f'"1/{LONG}"'):
+        assert TOO_LONG in parse_error(parse_matrix_tuple, f"[[[{entry}]]]")
 
 
 def test_scalar_forms():
@@ -166,6 +173,14 @@ def parse_error(parse, text):
 )
 def test_parse_error_messages_and_columns(parse, text, message):
     assert parse_error(parse, text) == message
+
+
+def test_a_number_longer_than_int_reads_is_a_parse_error():
+    # reported at the numerator, the denominator or the letter
+    assert parse_error(parse_poly, f"x1 + {LONG}*x2") == f"{TOO_LONG} (line 1, col 6)"
+    assert parse_error(parse_bipartite, f"1/{LONG} (x) y1") == f"{TOO_LONG} (line 1, col 3)"
+    assert parse_error(parse_scalar, f"1 + {LONG}i") == f"{TOO_LONG} (line 1, col 5)"
+    assert parse_error(parse_poly, f"x1*x{LONG}") == f"{TOO_LONG} (line 1, col 4)"
 
 
 def test_leading_sign_in_both_rings():
