@@ -697,16 +697,8 @@ def rename_letters(f: FreePoly, mapper) -> FreePoly:
 
 def swap_kinds(f: FreePoly, kind_a: str, kind_b: str) -> FreePoly:
     """Exchange two letter families index-by-index."""
-
-    def fn(let):
-        k, i = let
-        if k == kind_a:
-            return (kind_b, i)
-        if k == kind_b:
-            return (kind_a, i)
-        return let
-
-    return rename_letters(f, fn)
+    swap = {kind_a: kind_b, kind_b: kind_a}
+    return rename_letters(f, lambda let: (swap.get(let[0], let[0]), let[1]))
 
 
 def identity_map(g: int):

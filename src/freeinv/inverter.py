@@ -197,7 +197,8 @@ def invert(p, cap: int | None = None, max_terms: int | None = None) -> Inversion
     check_alphabet(p, g)
 
     constants = tuple(comp.constant_term() for comp in p)
-    p0 = tuple(comp - FreePoly.scalar(c) for comp, c in zip(p, constants))
+    # p - p(0): every word but the empty one, with its coefficient
+    p0 = tuple(FreePoly._raw({w: c for w, c in comp._terms.items() if w}) for comp in p)
 
     j_inv = jacobian_gate(p0, max_terms)
     if isinstance(j_inv, NotPolyInvertible):

@@ -31,7 +31,7 @@ from .freealg import (
     _settled,
     check_alphabet,
     decode_letter,
-    rename_letters,
+    encode_letter,
 )
 from .sysolve import ProperAlgebraicSystem, check_proper
 
@@ -72,11 +72,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls.from_scalars([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_scalars(cls, scalars):
-        return cls([[cls.ring.scalar(c) for c in row] for row in scalars])
+        raw, one = cls.ring._raw, cls.ring._ONE_KEY
+        return cls([[raw({one: 1} if i == j else {}) for j in range(n)] for i in range(n)])
 
     def __getitem__(self, idx):
         return self.entries[idx]
@@ -125,9 +122,6 @@ class Matrix:
 
     def degree(self):
         return max((e.degree() for row in self.entries for e in row), default=NEG_INF)
-
-    def map_entries(self, fn):
-        return type(self)([[fn(e) for e in row] for row in self.entries])
 
     def is_zero(self):
         return all(not e for row in self.entries for e in row)
@@ -223,7 +217,7 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
                 if key != one:
                     parts.setdefault(key_degree(key), {}).setdefault((i, k), {})[key] = -c
     if not parts:
-        return cls.from_scalars(m0_inv)
+        return cls([[ring.scalar(c) for c in row] for row in m0_inv])
     deg_n = max(parts)
     a_parts = []  # (d, (row, column, prepared left factor) triples of A_d = M0^-1 N_d)
     for d in sorted(parts):
@@ -321,14 +315,19 @@ def _lone_non_unit(entries, one):
 
 
 def auxiliary_inverse(p, j_inv: PolyMatrix):
-    """Build the proper algebraic system x * Jinv(z) from a verified inverse Jacobian."""
+    """Build the proper algebraic system x * Jinv(z) from a verified inverse Jacobian:
+    component j is {x_s + w(z): c} over s and the terms w(x) c of Jinv[s][j], built in
+    one pass, since distinct (s, w) give distinct words and nothing is summed."""
     g = len(p)
     check_alphabet(p, g)
     if any(comp.constant_term() for comp in p):
         raise ValueError("auxiliary inverse requires a map without constant term")
-    to_z = {("x", i + 1): ("z", i + 1) for i in range(g)}
-    jz = j_inv.map_entries(lambda e: rename_letters(e, to_z))
-    system = ProperAlgebraicSystem(reconstruct((0,) * g, jz))
+    to_z = {ord(encode_letter(("x", i + 1))): encode_letter(("z", i + 1)) for i in range(g)}
+    xs = [encode_letter(("x", s + 1)) for s in range(j_inv.rows)]
+    system = ProperAlgebraicSystem(
+        FreePoly._raw({x + w.translate(to_z): c for x, e in zip(xs, col) for w, c in e._terms.items()})
+        for col in zip(*j_inv.entries)
+    )
     if not check_proper(system):
         raise ValueError("auxiliary inverse failed the proper-system invariants")
     return system

@@ -7,7 +7,8 @@ on native ints.  No floating point anywhere.  `inverse` and `solve` run one
 fraction-free (Bareiss) Gauss-Jordan elimination for every entry type: every
 entry stays a minor of the input, so integer matrices run on native ints, and
 the left block ends as d * I, with d the last pivot, +-det a; the right block
-is then divided by d once per entry.
+is then divided by d once per entry, an int quotient taken by `//` whenever d
+divides the entry (no Fraction and no gcd), else a Fraction.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _eliminate(a, rhs):
     work = [list(row) + list(rrow) for row, rrow in zip(a, rhs)]
     if all(type(e) is int for row in work for e in row):
         # every entry stays a minor of [a | rhs], so the divisions are exact
-        div, quotient = operator.floordiv, Fraction
+        div, quotient = operator.floordiv, lambda x, y: x // y if not x % y else Fraction(x, y)
     else:
         # GaussianRational division is exact and narrows, for any exact operands
         div = quotient = lambda x, y: x / as_gaussian(y)
@@ -108,7 +109,7 @@ def _eliminate(a, rhs):
                 work[r] = [div(piv * e - f * p, last) for e, p in zip(work[r], prow)]
         last = piv
     # the left block is now last * I
-    return tuple(tuple(exact(quotient(e, last)) for e in row[n:]) for row in work)
+    return tuple(tuple(quotient(e, last) for e in row[n:]) for row in work)
 
 
 def inverse(a):

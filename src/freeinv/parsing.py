@@ -19,7 +19,8 @@ sum and `_term_prefix` the coefficient and word that open every term, so
 `format_poly` and `format_bipartite` alike.
 
 Matrix tuples are JSON arrays of matrices, each a row-major array of rows of
-rational strings ("a/b" or "a/b+c/di").
+scalar strings ("a/b" or "a/b+c/di") or JSON integers; a bad entry is
+reported by its matrix, row and column.
 """
 
 from __future__ import annotations
@@ -38,12 +39,16 @@ MAX_WORD_LENGTH = 2**20
 
 
 class ParseError(ValueError):
-    """Syntax error; carries 1-based line/column of the offending token."""
+    """Syntax error at the 1-based line/column of the offending token; in a matrix
+    tuple, `entry` is the bad entry's 1-based (matrix, row, column), in whose text they count."""
 
-    def __init__(self, message, line=1, col=1):
-        super().__init__(f"{message} (line {line}, col {col})")
-        self.line = line
-        self.col = col
+    def __init__(self, message, line=1, col=1, entry=None):
+        where = f"line {line}, col {col}"
+        self.reason, self.line, self.col = message, line, col
+        if entry:
+            message = "matrix {}, row {}, column {}: ".format(*entry) + message
+            where = (where if line > 1 else f"col {col}") + " of the entry"
+        super().__init__(f"{message} ({where})")
 
 
 _TOKEN = re.compile(
@@ -347,16 +352,24 @@ def parse_matrix_tuple(text: str):
     if not all(isinstance(m, list) and m and all(isinstance(r, list) for r in m) for m in data):
         raise ParseError("each matrix must be a nonempty JSON array of rows")
     mats = []
-    for mat in data:
+    for m, mat in enumerate(data, 1):
         rows = []
-        for row in mat:
-            rows.append(tuple(parse_scalar(str(entry)) for entry in row))
+        for r, row in enumerate(mat, 1):
+            rows.append(tuple(_matrix_entry(e, (m, r, c)) for c, e in enumerate(row, 1)))
         mats.append(tuple(rows))
     n = len(mats[0])
     for mat in mats:
         if len(mat) != n or any(len(row) != n for row in mat):
             raise ParseError("matrices must be square and of a common size")
     return MatrixTuple(n, tuple(mats))
+
+
+def _matrix_entry(entry, at):
+    """The scalar of the matrix entry at the 1-based (matrix, row, column) `at`."""
+    try:
+        return parse_scalar(entry if isinstance(entry, str) else json.dumps(entry))
+    except ParseError as exc:
+        raise ParseError(exc.reason, exc.line, exc.col, entry=at) from None
 
 
 def format_matrix_tuple(X) -> str:

@@ -107,6 +107,7 @@ from .freealg import (
     FreePoly,
     SubstitutionImages,
     _settled,
+    decode_letter,
     substitute_tracked,
 )
 
@@ -160,10 +161,13 @@ def check_proper(system) -> bool:
     z-letter is one of z1..zh."""
     comps = tuple(system)
     for c in comps:
-        if c.constant_term() or c.dz_degree("z") <= 1:
+        if c.constant_term():
             return False
-        if any(kind == "z" and i > len(comps) for kind, i in c.letters()):
-            return False
+        # a z-word of length 1 is a z-letter that is itself a word of c
+        for ch in set().union(*c._terms):
+            kind, i = decode_letter(ch)
+            if kind == "z" and (i > len(comps) or ch in c._terms):
+                return False
     return True
 
 

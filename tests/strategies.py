@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from freeinv import FreePoly, GaussianRational, ProperAlgebraicSystem
+from freeinv import FreePoly, GaussianRational, ProperAlgebraicSystem, compose
 
 coefficients = st.builds(
     GaussianRational,
@@ -53,3 +53,19 @@ def proper_systems(h=2, max_len=3, max_terms=3):
     )
     comp = st.dictionaries(word, coefficients, max_size=max_terms).map(FreePoly)
     return st.tuples(*[comp] * h).map(ProperAlgebraicSystem)
+
+
+def tame_maps():
+    """Automorphisms of the free algebra on x1, x2: the triangular map
+    (a1*x1, a2*x2 + h(x1)), with a1, a2 nonzero and h of degree 2..3 in x1,
+    after the shear x1 -> x1 + c*x2, with int, Fraction and Gaussian
+    coefficients.  Their left Jacobians have polynomial inverses."""
+    x1, x2 = FreePoly.letter("x", 1), FreePoly.letter("x", 2)
+    h = st.dictionaries(
+        st.integers(2, 3).map(lambda n: (("x", 1),) * n), coefficients, max_size=2
+    ).map(FreePoly)
+
+    def build(a1, a2, c, h):
+        return compose((x1 * a1, x2 * a2 + h), (x1 + x2 * c, x2))
+
+    return st.builds(build, coefficients, coefficients, coefficients | st.just(0), h)

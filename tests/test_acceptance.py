@@ -152,8 +152,8 @@ def test_criterion_3_jacobian_regression():
         _, j_phi = jacobian_extract(phi)
         _, j_psi = jacobian_extract(psi)
         images = {("x", i + 1): phi[i] for i in range(2)}
-        j_psi_at = j_psi.map_entries(
-            lambda e: substitute(e, images, default_identity=True)
+        j_psi_at = PolyMatrix(
+            [[substitute(e, images, default_identity=True) for e in row] for row in j_psi.entries]
         )
         assert j_comp == j_phi * j_psi_at
     report(3, "displayed Jacobians match entry-for-entry; 100 chain-rule identities exact")

@@ -406,5 +406,7 @@ def test_hypo_jacobian_chain_rule(alpha, beta):
     beta_y = [swap_kinds(comp, "x", "y") for comp in beta]
     left_images = {i + 1: comp.transpose() for i, comp in enumerate(beta_y)}
     right_images = {i + 1: comp for i, comp in enumerate(beta_y)}
-    j_alpha_sub = j_alpha.map_entries(lambda e: substitute_sides(e, left_images, right_images))
+    j_alpha_sub = type(j_alpha)(
+        [[substitute_sides(e, left_images, right_images) for e in row] for row in j_alpha.entries]
+    )
     assert lhs == j_beta * j_alpha_sub

@@ -185,6 +185,11 @@ NUMERIC_INPUT_CASES = [
     (["eval", "-g", "1", "x1", "--at", "[[1]]"], 2),
     (["eval", "-g", "1", "x1", "--at", "[1]"], 2),
     (["eval", "-g", "1", "x1", "--at", '[[["1/0"]]]'], 2),
+    # a bad entry, a JSON float and a JSON boolean in a matrix tuple
+    (["eval", "-g", "1", "x1", "--at", '[[["1", "2"], ["3", "1/0"]]]'], 2),
+    (["eval", "-g", "1", "x1", "--at", '[[["1", "2"], ["3", "4$"]]]'], 2),
+    (["eval", "-g", "1", "x1", "--at", "[[[1.5]]]"], 2),
+    (["eval", "-g", "1", "x1", "--at", "[[[false]]]"], 2),
     (["invert", "-g", "1", "1/0*x1"], 2),
     # a letter index past the word codec's range, and a `*` with nothing after it
     (["invert", "-g", "1", "x200000"], 2),

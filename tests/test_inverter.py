@@ -1,5 +1,6 @@
 """Degree-bound arithmetic and the inversion decision procedure."""
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -11,6 +12,7 @@ from freeinv import (
     FreePoly,
     GaussianRational,
     InversionOutcome,
+    format_poly,
     injectivity_test,
     inverse_degree_bound,
     invert,
@@ -25,6 +27,7 @@ from freeinv.inverter import (
     OUTCOME_NOT_INJECTIVE,
     REASON_DEGREE_EXCEEDED,
     REASON_JACOBIAN_NOT_POLY_INVERTIBLE,
+    _restore_constant,
 )
 
 from corpus import (
@@ -217,6 +220,30 @@ def test_invert_restores_constants():
     out = invert(p)
     assert out.is_inverse
     assert verify_inverse(p, out.q)
+
+
+@pytest.mark.parametrize(
+    "shift",
+    [(2, -3), (Fraction(1, 2), 0), (GaussianRational(0, 1), Fraction(-2, 3))],
+    ids=["int", "fraction", "gaussian"],
+)
+def test_invert_drops_the_constant_term_exactly(shift):
+    # invert(p) answers as invert(p - p(0)) does, its inverse shifted by
+    # x -> x - p(0); p - p(0) is formed here by subtraction
+    rng = random.Random(5)
+    maps = [P_SIMPLE, P_TWISTED, P_CLASSIC] + [random_tame_pair(rng, g=2)[0] for _ in range(4)]
+    for p0 in maps:
+        p = tuple(comp + c for comp, c in zip(p0, shift))
+        constants = tuple(comp.constant_term() for comp in p)
+        base = invert(tuple(comp - c for comp, c in zip(p, constants)), cap=48)
+        out = invert(p, cap=48)
+        if base.q is None:
+            assert out == base
+            continue
+        q = _restore_constant(base.q, constants)
+        assert verify_inverse(p, q)
+        assert out == dataclasses.replace(base, q=q)
+        assert out.to_jsonable() == {**base.to_jsonable(), "q": [format_poly(c) for c in q]}
 
 
 def test_invert_budget_indeterminate():

@@ -12,7 +12,9 @@ from freeinv import (
     compose,
     jacobian_extract,
     poly_matrix_inverse,
+    rename_letters,
 )
+from freeinv.inverter import jacobian_gate
 from freeinv.jacobian import REASON_SINGULAR_CONSTANT, reconstruct
 
 import strategies as S
@@ -63,7 +65,9 @@ def test_chain_rule(phi, psi):
     images = {("x", i + 1): phi[i] for i in range(2)}
     from freeinv import substitute
 
-    j_psi_at_phi = j_psi.map_entries(lambda e: substitute(e, images, default_identity=True))
+    j_psi_at_phi = PolyMatrix(
+        [[substitute(e, images, default_identity=True) for e in row] for row in j_psi.entries]
+    )
     assert j_comp == j_phi * j_psi_at_phi
 
 
@@ -157,3 +161,28 @@ def test_auxiliary_inverse_is_proper(p):
         system = auxiliary_inverse(p, res)
         assert check_proper(system)
         assert system.dz() >= 2
+
+
+def _typed(terms):
+    return {w: (c, type(c)) for w, c in terms}
+
+
+@given(S.tame_maps())
+def test_auxiliary_inverse_matches_its_definition(p):
+    # component j is the sum over s of x_s * Jinv[s][j] with x renamed to z
+    j_inv = jacobian_gate(p, max_terms=10_000)
+    assert isinstance(j_inv, PolyMatrix)
+    system = auxiliary_inverse(p, j_inv)
+    got = [_typed(comp.terms()) for comp in system.components]
+    to_z = {("x", i + 1): ("z", i + 1) for i in range(len(p))}
+    reference = [
+        _typed(
+            (((("x", s + 1),) + tuple(to_z[let] for let in w)), c)
+            for s in range(j_inv.rows)
+            for w, c in j_inv[s][j].terms()
+        )
+        for j in range(j_inv.cols)
+    ]
+    assert got == reference
+    jz = PolyMatrix([[rename_letters(e, to_z) for e in row] for row in j_inv.entries])
+    assert got == [_typed(comp.terms()) for comp in reconstruct((0,) * len(p), jz)]

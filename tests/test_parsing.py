@@ -114,6 +114,36 @@ def test_matrix_tuple_errors():
         assert TOO_LONG in parse_error(parse_matrix_tuple, f"[[[{entry}]]]")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '[[["1", "2"], ["3", "1/0"]]]',
+            "matrix 1, row 2, column 2: zero denominator (col 3 of the entry)",
+        ),
+        (
+            '[[["1"]], [["2$"]]]',
+            "matrix 2, row 1, column 1: unexpected character '$' (col 2 of the entry)",
+        ),
+        (
+            '[[["1", 1.5], ["0", "1"]]]',
+            "matrix 1, row 1, column 2: unexpected character '.' (col 2 of the entry)",
+        ),
+        (
+            '[[["1", "0"], [true, "1"]]]',
+            "matrix 1, row 2, column 1: unexpected character 't' (col 1 of the entry)",
+        ),
+        (
+            '[[["1 +\\n x1"]]]',
+            "matrix 1, row 1, column 1: expected a number (line 2, col 2 of the entry)",
+        ),
+    ],
+)
+def test_matrix_entry_errors_name_the_entry(text, message):
+    # the position is inside the entry's text, not the JSON
+    assert parse_error(parse_matrix_tuple, text) == message
+
+
 def test_scalar_forms():
     assert parse_scalar("3").re == 3
     assert parse_scalar("-1/2").re == parse_scalar("1/2").re * -1

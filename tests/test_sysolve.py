@@ -49,6 +49,19 @@ def test_check_proper_examples():
     assert check_proper(CLASSIC_SYSTEM)
     assert not check_proper(ProperAlgebraicSystem((z1,)))
     assert not check_proper(ProperAlgebraicSystem((x1 + FreePoly.one(), x2 + x1 * z1)))
+    # z3 lies outside z1..z2
+    assert not check_proper(ProperAlgebraicSystem((x1, x2 + x1 * FreePoly.letter("z", 3))))
+
+
+@given(st.tuples(*[S.polys(kinds="xz", max_index=3, max_len=3, max_terms=3)] * 2))
+def test_check_proper_matches_its_definition(comps):
+    expected = all(
+        not c.constant_term()
+        and c.dz_degree("z") >= 2
+        and all(kind != "z" or i <= len(comps) for kind, i in c.letters())
+        for c in comps
+    )
+    assert check_proper(comps) == expected
 
 
 def test_iterate_split_classic():
