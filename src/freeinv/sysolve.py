@@ -85,20 +85,30 @@ image set of its own, which lives for that step.
 
 Finality.  The z-free words a step adds are images of z-words, which have
 length >= floor, and substitution never shortens a word; so the buckets
-below the floor are final.  An iterate-side step never reads or copies
-their words, and copies a bucket at or above the floor when it first writes
-to it; a system-side step builds every bucket afresh.  Either way a split
-yielded earlier stays valid however far the generator runs, or a run
-resumed from it.  The head (the
-buckets below the floor) therefore only grows from one iterate to the
-next, and its size tells whether it changed.
+below the floor are final, and the head (the buckets below the floor) only
+grows.  A final bucket is also the same at every working degree, since the
+iterate at w is the one at any larger degree truncated at w.  So each
+component's final buckets live in one dict that the splits of a run, and of
+every run resumed from one of them, share: a split reads those below its
+cut (its floor, or trunc + 1 once no z-word is left), and later steps, at
+any degree, file only buckets at or above it, or a final one again with the
+same words.  A split holds its buckets at or above its cut and its groups;
+an iterate-side step copies such a bucket when it first writes to it, and a
+system-side step builds every bucket afresh and drops those below the cut.
+So a split yielded earlier stays valid however far the generator runs, or a
+run resumed from it, and no split holds its predecessor.  Its statistics
+are carried: the head degree and head size extend those of the split before
+over the buckets that fall below the new cut, and the count of z-free words
+changes by what the step wrote, so a step's bookkeeping touches the buckets
+and groups it wrote, not the head, whose size grows with k.  The head size
+also tells whether the head changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice
+from itertools import chain, count, islice
 
 from . import linalg
 from .freealg import (
@@ -180,60 +190,78 @@ class IterateSplit:
     the untruncated iterate has no z-words at all (a true fixed point).
 
     `head` (the words below the floor, all z-free) and `tail` (the rest) are
-    built on first access from the factored iterate, and so are `terms`, the
-    number of words of both, and `head_terms`, those of the head.  Two
-    splits are equal when their k, head, tail, floor and exact are.
+    built on first access.  `head_degree()` and `head_terms`, the number of
+    words of the head, are carried: the head only grows, so those of the
+    split before are extended over the buckets that fall below the floor at
+    this split.  `terms`, the number of words of both, adds the words of the
+    groups to a count of z-free words that the steps carry and change by
+    what they wrote.  Two splits are equal when their k, head, tail, floor
+    and exact are.
     """
 
-    __slots__ = ("k", "floor", "exact", "_iterate", "_cut", "_head", "_tail", "_terms", "_head_terms")
+    __slots__ = (
+        ("k", "floor", "exact", "head_terms", "_head_degree", "_free_terms")
+        + ("_final", "_iterate", "_cut", "_head", "_tail")
+    )
 
-    def __init__(self, k, iterate, exact):
+    def __init__(self, k, iterate, exact, trunc, free_terms, before=None):
+        """The split of the factored `iterate`, which holds `free_terms`
+        z-free words: per component, its groups and its buckets at or above
+        the cut of the split `before` (every bucket when there is none).
+        Those below its own cut move to the final part it shares with
+        `before`."""
         self.k = k
         self.exact = exact
         self._iterate = iterate
-        self._head = self._tail = self._terms = self._head_terms = None
+        self._free_terms = free_terms
+        self._head = self._tail = None
         floor = min((ell + len(beta) for _, zwords in iterate for beta, ell in zwords), default=None)
         self.floor = floor
-        self._cut = POS_INF if floor is None else floor
+        # no word is longer than trunc, so with no z-word every bucket is final
+        self._cut = cut = trunc + 1 if floor is None else floor
+        if before is None:
+            self._final = tuple({} for _ in iterate)
+            head_degree, head_terms = NEG_INF, 0
+        else:
+            self._final = before._final
+            head_degree, head_terms = before._head_degree, before.head_terms
+        for (free, _), final in zip(iterate, self._final):
+            for n in sorted(free) if free else ():
+                if n >= cut:
+                    break
+                # another run on the same final part may have filed the same
+                # bucket already: a final bucket is the same at every w
+                final[n] = bucket = free.pop(n)
+                head_terms += len(bucket)
+                if n > head_degree:
+                    head_degree = n
+        self._head_degree = head_degree
+        self.head_terms = head_terms
 
     @property
     def terms(self):
-        if self._terms is None:
-            iterate = self._iterate
-            self._terms = sum(len(b) for free, _ in iterate for b in free.values()) + sum(
-                len(us) for _, zwords in iterate for us in zwords.values()
-            )
-        return self._terms
+        return self._free_terms + sum(len(us) for _, zwords in self._iterate for us in zwords.values())
 
-    @property
-    def head_terms(self):
-        if self._head_terms is None:
-            cut = self._cut
-            self._head_terms = sum(len(b) for free, _ in self._iterate for n, b in free.items() if n < cut)
-        return self._head_terms
+    def _heads(self):
+        """Each component's final buckets below the cut: later steps, and
+        runs resumed from this split, file buckets at or above it."""
+        cut = self._cut
+        return [[bucket for n, bucket in final.items() if n < cut] for final in self._final]
 
     @property
     def head(self):
         if self._head is None:
-            cut = self._cut
-            head = []
-            for free, _ in self._iterate:
-                terms = {}
-                for n, bucket in free.items():
-                    if n < cut:
-                        terms.update(bucket)
-                head.append(FreePoly._raw(terms))
-            self._head = tuple(head)
+            self._head = tuple(FreePoly._raw(_words(buckets, {})) for buckets in self._heads())
         return self._head
 
     @property
     def tail(self):
         if self._tail is None:
-            self._tail = tuple(FreePoly._raw(_words(free, zwords, self._cut)) for free, zwords in self._iterate)
+            self._tail = tuple(FreePoly._raw(_words(free.values(), zwords)) for free, zwords in self._iterate)
         return self._tail
 
     def head_degree(self):
-        return max((n for free, _ in self._iterate for n in free if n < self._cut), default=NEG_INF)
+        return self._head_degree
 
     def _key(self):
         return (self.k, self.head, self.tail, self.floor, self.exact)
@@ -279,49 +307,59 @@ def _factored(terms, first_z):
     return free, zwords
 
 
-def _words(free, zwords, cut=0):
-    """The terms of a factored component: its z-words and its z-free words
-    of length >= cut."""
+def _words(buckets, zwords):
+    """The terms of the z-free `buckets` and of the groups `zwords`."""
     terms = {}
-    for n, bucket in free.items():
-        if n >= cut:
-            terms.update(bucket)
+    for bucket in buckets:
+        terms.update(bucket)
     for (beta, _), us in zwords.items():
         for u, c in us.items():
             terms[u + beta] = c
     return terms
 
 
-def _step(system, iterate, trunc, first_z):
-    """One composition step on the factored iterate T_k: T_{k+1} truncated at
-    trunc.  The step takes the system side, a o T_k, when T_k has more than
-    `_GROUPS_PER_TERM` (beta, l) groups per term of the system a, and the
-    iterate side, T_k o a, otherwise: the system side expands each of a's few
-    words once, the iterate side each group once.  The module docstring gives
-    the per-step timings behind the rule; the term count of a is kept by the
-    system, so choosing costs one length per component."""
+def _step(system, split, trunc, first_z):
+    """One composition step on the factored iterate T_k of `split`: T_{k+1}
+    truncated at trunc, as the factored iterate for the next split and its
+    number of z-free words.  The step takes the system side, a o T_k, when
+    T_k has more than `_GROUPS_PER_TERM` (beta, l) groups per term of the
+    system a, and the iterate side, T_k o a, otherwise: the system side
+    expands each of a's few words once, the iterate side each group once.
+    The module docstring gives the per-step timings behind the rule; the
+    term count of a is kept by the system, so choosing costs one length per
+    component."""
     groups = 0
-    for _, zwords in iterate:
+    for _, zwords in split._iterate:
         groups += len(zwords)
     if groups > _GROUPS_PER_TERM * system.size:
-        return _into_system(system, iterate, trunc, first_z)
-    return _into_iterate(system.images, iterate, trunc, first_z)
+        return _into_system(system, split, trunc, first_z)
+    return _into_iterate(system.images, split, trunc, first_z)
 
 
-def _into_system(system, iterate, trunc, first_z):
+def _into_system(system, split, trunc, first_z):
     """a o T_k: the components of T_k substituted into the z-slots of the
-    system, one `substitute_tracked` call per component."""
+    system, one `substitute_tracked` call per component.  The buckets of
+    T_{k+1} below T_k's cut are T_k's final ones, and are dropped."""
+    cut = split._cut
     images = SubstitutionImages(
-        {("z", j + 1): FreePoly._raw(_words(*part)) for j, part in enumerate(iterate)}
+        {
+            ("z", j + 1): FreePoly._raw(_words(chain(head, free.values()), zwords))
+            for j, (head, (free, zwords)) in enumerate(zip(split._heads(), split._iterate))
+        }
     )
     out = []
+    free_terms = split.head_terms
     for comp in system.components:
         result, _ = substitute_tracked(comp, images, default_identity=True, trunc=trunc)
-        out.append(_factored(result._terms, first_z))
-    return tuple(out)
+        free, zwords = _factored(result._terms, first_z)
+        for n in [n for n in free if n < cut]:
+            del free[n]
+        free_terms += sum(map(len, free.values()))
+        out.append((free, zwords))
+    return tuple(out), free_terms
 
 
-def _into_iterate(images, iterate, trunc, first_z):
+def _into_iterate(images, split, trunc, first_z):
     """T_k o a: the base system (as z-slot `images`) substituted into the
     z-slots of every group of T_k.
 
@@ -334,20 +372,23 @@ def _into_iterate(images, iterate, trunc, first_z):
     runs the prefixes in its inner loop when they outnumber a part's terms.
     A group with few would pay a target lookup per term of tau for one or two
     products, so its words go to one flat dict, which is split by first
-    z-letter once all products (which often merge) are in.
+    z-letter once all products (which often merge) are in.  Every word
+    written is at least as long as T_k's floor, so only T_k's buckets at or
+    above its cut are copied, and the count of z-free words changes by what
+    the written buckets gained.
     """
     mac = FreePoly._mac
     out = []
-    for free, zwords in iterate:
-        free = dict(free)
-        written = set()
+    free_terms = split._free_terms
+    for free, zwords in split._iterate:
+        written = {}
 
         def bucket(n):
             # copy on write: an earlier split may still read the old bucket
-            if n not in written:
-                written.add(n)
-                free[n] = dict(free.get(n, ()))
-            return free[n]
+            target = written.get(n)
+            if target is None:
+                target = written[n] = dict(free.get(n, ()))
+            return target
 
         new_zwords = {}
         flat = {}
@@ -362,13 +403,15 @@ def _into_iterate(images, iterate, trunc, first_z):
             for (suffix, j), part in tau_zwords.items():
                 mac(new_zwords.setdefault((suffix, ell + j), {}), us.items(), part.items())
         _file(flat, bucket, new_zwords, first_z)
-        for n in written:
-            if free[n]:
-                free[n] = _settled(free[n])
+        new_free = dict(free)
+        for n, target in written.items():
+            free_terms += len(target) - len(free.get(n, ()))
+            if target:
+                new_free[n] = _settled(target)
             else:
-                del free[n]
-        out.append((free, {key: _settled(us) for key, us in new_zwords.items() if us}))
-    return tuple(out)
+                new_free.pop(n, None)
+        out.append((new_free, {key: _settled(us) for key, us in new_zwords.items() if us}))
+    return tuple(out), free_terms
 
 
 # groups with fewer prefixes than this take the flat route in
@@ -391,7 +434,8 @@ def iterates(system, trunc: int, start: IterateSplit | None = None):
     split, which is the untruncated iterate T_k and so the k-th iterate at
     every working degree, and the run steps it at `trunc` and yields from
     k + 1 on, the splits a fresh run at `trunc` would yield there.  An
-    inexact `start` raises ValueError.
+    inexact `start` raises ValueError.  The resumed run shares the final
+    buckets of the run it resumes.
 
     Runs on one `ProperAlgebraicSystem` share its image set and so its
     suffix memo; any other sequence of components gets a system of its own."""
@@ -405,18 +449,21 @@ def iterates(system, trunc: int, start: IterateSplit | None = None):
         comps = system.components
         current = tuple(c.truncate(trunc) for c in comps)
         exact = all(len(cur) == len(orig) for cur, orig in zip(current, comps))
-        start = IterateSplit(1, tuple(_factored(comp._terms, first_z) for comp in current), exact)
+        iterate = tuple(_factored(comp._terms, first_z) for comp in current)
+        free_terms = sum(len(bucket) for free, _ in iterate for bucket in free.values())
+        start = IterateSplit(1, iterate, exact, trunc, free_terms)
         yield start
     elif not start.exact:
         raise ValueError("a run can resume only from an exact split")
-    iterate, exact = start._iterate, start.exact
+    split = start
     for k in count(start.k + 1):
         # the flag of each group (beta, l): deg(beta) > trunc - l
-        exact = exact and not any(
-            degrees(beta, True)[1] > trunc - ell for _, zwords in iterate for beta, ell in zwords
+        exact = split.exact and not any(
+            degrees(beta, True)[1] > trunc - ell for _, zwords in split._iterate for beta, ell in zwords
         )
-        iterate = _step(system, iterate, trunc, first_z)
-        yield IterateSplit(k, iterate, exact)
+        iterate, free_terms = _step(system, split, trunc, first_z)
+        split = IterateSplit(k, iterate, exact, trunc, free_terms, split)
+        yield split
 
 
 def iterate_split(system, k: int, trunc: int) -> IterateSplit:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from freeinv import parse_poly
 from freeinv.cli import main
 
 
@@ -304,6 +305,23 @@ def test_aux_iterate_term_budget_bounds_the_iteration(capsys):
     unbounded = run_cli(capsys, "aux-iterate", "-g", "2", "-k", "3", "--trunc", "6",
                         "--max-terms", "0", *nilpotent)
     assert (code, out) == unbounded[:2] and code == 0
+
+
+def test_aux_iterate_far_under_the_default_budget(capsys):
+    # the sandwich's iterate k has k + 3 words, the head words x1^j x3 x1^j
+    # for j < k among them; the default budget (200,000) reads the size of
+    # every iterate on the way to the 2,000th
+    sandwich = ("x1", "x2", "x3 - x1*x3*x1")
+    argv = ("aux-iterate", "-g", "3", "-k", "2000", "--trunc", "34996")
+    code, out, err = run_cli(capsys, *argv, "--json", *sandwich)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["k"], data["floor"]) == (2000, 4001)
+    assert [len(parse_poly(s)) for s in data["head"]] == [1, 1, 2000]
+    assert data["tail"] == ["0", "0", "x1^2000*z3*z1*x1^1999"]
+    # a budget one word short of iterate 2,000 stops the run there
+    code, out, err = run_cli(capsys, *argv, "--max-terms", "2002", *sandwich)
+    assert (code, out) == (3, "") and "at iterate 2000" in err
 
 
 def test_internal_value_error_is_not_an_input_error(monkeypatch):

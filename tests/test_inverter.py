@@ -111,7 +111,7 @@ def test_invert_classic_rigorous():
 
 @pytest.mark.parametrize(
     "a, b, bound, cap",
-    [(1, 2, 217, 869), (2, 1, 217, 869), (2, 2, 289, 1446)],
+    [(1, 2, 217, 869), (2, 1, 217, 869), (2, 2, 289, 1446), (1, 3, 289, 1446), (3, 1, 289, 1446)],
 )
 def test_invert_rigorous_family(a, b, bound, cap):
     # (x1, x2 - x1^a x2 x1^b): the classic map with longer x1 runs around x2
@@ -119,6 +119,15 @@ def test_invert_rigorous_family(a, b, bound, cap):
     assert out.outcome == OUTCOME_NOT_INJECTIVE
     assert out.reason == REASON_DEGREE_EXCEEDED
     assert (out.iterations, out.bound_B, out.cap_used) == (74, bound, cap)
+
+
+def test_invert_rigorous_sandwich():
+    # (x1, x2, x3 - x1 x3 x1): B = 11,665, so the head degree 2k - 1 first
+    # exceeds it at loop 5,834, at the rigorous cap 34,996
+    x3 = FreePoly.letter("x", 3)
+    out = invert((x1, x2, x3 - x1 * x3 * x1))
+    got = (out.outcome, out.reason, out.iterations, out.bound_B, out.cap_used)
+    assert got == (OUTCOME_NOT_INJECTIVE, REASON_DEGREE_EXCEEDED, 5834, 11665, 34996)
 
 
 @pytest.mark.parametrize(

@@ -290,6 +290,36 @@ def test_the_step_takes_the_system_side_on_many_groups_only():
     assert log and set(log) == {"iterate"}
 
 
+def recount(split):
+    """(floor, head degree, head size, size) of a split, counted from its
+    head and tail."""
+    floor = min((h + t).dz_degree("z") for h, t in zip(split.head, split.tail))
+    return (
+        None if floor == float("inf") else floor,
+        max((h.degree() for h in split.head), default=float("-inf")),
+        sum(map(len, split.head)),
+        sum(map(len, split.head + split.tail)),
+    )
+
+
+def carried(split):
+    """The statistics a split carries over from the split before it."""
+    return split.floor, split.head_degree(), split.head_terms, split.terms
+
+
+def check_carried(splits):
+    for split in splits:
+        assert carried(split) == recount(split), split.k
+
+
+@pytest.mark.parametrize("kernel", FORCED)
+@given(S.proper_systems(), st.sampled_from(TRUNCS))
+def test_carried_statistics_match_a_recount(kernel, system, trunc):
+    # every split is recounted once the generator has run past it
+    with forced(kernel):
+        check_carried(list(islice(iterates(system, trunc), 6)))
+
+
 @pytest.mark.parametrize(
     "system, trunc, n",
     [
@@ -298,17 +328,49 @@ def test_the_step_takes_the_system_side_on_many_groups_only():
         # x2^4 sits at or above the floor while later steps add z-free words
         # of its length, so a step writes to a bucket an earlier tail holds
         (ProperAlgebraicSystem((x1 + x2**4 + z1 * z1, x2)), 12, 6),
+        (aux_system(family(2, 2)), 1446, 80),
+        (aux_system(sandwich()), 200, 60),
+        # its third step takes the system side
+        (aux_system(tame_maps(77)[76]), 8, 6),
     ],
-    ids=["nilpotent", "classic", "open-bucket"],
+    ids=["nilpotent", "classic", "open-bucket", "family22", "sandwich", "tame76"],
 )
 def test_splits_stay_valid_after_the_generator_moves_on(system, trunc, n):
     # no head or tail is read before the generator has run n steps on
     splits = list(islice(iterates(system, trunc), n))
+    check_carried(splits)
     for split in splits:
         assert split == iterate_split(system, split.k, trunc)
-        assert split.head_terms == sum(map(len, split.head))
-        assert split.terms == sum(map(len, split.head + split.tail))
-        assert split.head_degree() == max((h.degree() for h in split.head), default=float("-inf"))
+
+
+@pytest.mark.parametrize(
+    "p, w, larger, n",
+    [
+        (NILPOTENT, 6, 24, 6),
+        (family(2, 2), 16, 64, 8),
+        (sandwich(), 12, 48, 8),
+        # exact at k = 1 only; at w = 8 its third step takes the system side
+        (tame_maps(77)[76], 6, 8, 5),
+    ],
+    ids=["nilpotent", "family22", "sandwich", "tame76"],
+)
+def test_carried_statistics_across_a_resume(p, w, larger, n):
+    # a run at w runs past each of its exact splits; a run at a larger degree
+    # resumed from such a split shares the final buckets that the run at w
+    # filed after it, and must carry the statistics of its own start
+    system = aux_system(p)
+    splits = list(islice(iterates(system, w), n))
+    starts = [s for s in splits[:-1] if s.exact]
+    assert starts
+    fresh = list(islice(iterates(system, larger), n + 4))
+    for start in starts:
+        resumed = list(islice(iterates(system, larger, start=start), 4))
+        check_carried(resumed)
+        assert [carried(s) for s in resumed] == [carried(s) for s in fresh[start.k : start.k + 4]]
+        assert resumed == fresh[start.k : start.k + 4]
+    # the resumed runs filed final buckets of their own into the shared part
+    check_carried(splits)
+    assert splits == [iterate_split(system, s.k, w) for s in splits]
 
 
 @pytest.mark.parametrize(
