@@ -5,144 +5,41 @@ is injective on matrix tuples of every size and, when it is, computes its
 polynomial compositional inverse; every positive answer is verified by exact
 composition, and evaluation on exact rational matrix tuples provides an
 independent check of all identities involved.
+
+`import freeinv` loads no submodule: each public name is imported from the
+module that defines it on first use (PEP 562), so a command pays only for
+the modules it runs.
 """
 
-from .freealg import (
-    ArityMismatch,
-    FreePoly,
-    UnboundLetter,
-    compose,
-    identity_map,
-    rename_letters,
-    substitute,
-    swap_kinds,
-)
-from .scalars import GaussianRational
-from .jacobian import (
-    NotPolyInvertible,
-    PolyMatrix,
-    auxiliary_inverse,
-    jacobian_extract,
-    poly_matrix_inverse,
-)
-from .sysolve import (
-    ImproperSystem,
-    IterateSplit,
-    NonzeroConstant,
-    ProperAlgebraicSystem,
-    SingularLinearPart,
-    check_proper,
-    implicit_solve,
-    iterate_split,
-    iterates,
-    solve_truncated,
-)
-from .deriv import derivative_map, free_derivative, scion
-from .bipartite import (
-    BipartiteMatrix,
-    BipartitePoly,
-    Hyporealization,
-    NotHyporealization,
-    bipartite_matrix_inverse,
-    hypo_jacobian,
-    hypomatrix_rep,
-    injectivity_test,
-)
-from .mateval import (
-    MatrixTuple,
-    SizeMismatch,
-    UndefinedEvaluation,
-    block_derivative_check,
-    collision_check,
-    eval_bipartite,
-    eval_bipartite_matrix,
-    eval_poly,
-    eval_poly_map,
-    hyporational_eval,
-    random_matrix_tuple,
-    vec,
-)
-from .inverter import (
-    InversionOutcome,
-    PmidBound,
-    inverse_degree_bound,
-    invert,
-    pmid_bound,
-    pmid_f,
-    verify_inverse,
-)
-from .parsing import (
-    ParseError,
-    format_bipartite,
-    format_poly,
-    format_poly_map,
-    parse_bipartite,
-    parse_matrix_tuple,
-    parse_poly,
-    parse_poly_map,
-)
+from importlib import import_module
 
-__all__ = [
-    "ArityMismatch",
-    "BipartiteMatrix",
-    "BipartitePoly",
-    "FreePoly",
-    "GaussianRational",
-    "Hyporealization",
-    "ImproperSystem",
-    "InversionOutcome",
-    "IterateSplit",
-    "MatrixTuple",
-    "NonzeroConstant",
-    "NotHyporealization",
-    "NotPolyInvertible",
-    "ParseError",
-    "PmidBound",
-    "PolyMatrix",
-    "ProperAlgebraicSystem",
-    "SingularLinearPart",
-    "SizeMismatch",
-    "UnboundLetter",
-    "UndefinedEvaluation",
-    "auxiliary_inverse",
-    "bipartite_matrix_inverse",
-    "block_derivative_check",
-    "check_proper",
-    "collision_check",
-    "compose",
-    "derivative_map",
-    "eval_bipartite",
-    "eval_bipartite_matrix",
-    "eval_poly",
-    "eval_poly_map",
-    "format_bipartite",
-    "format_poly",
-    "format_poly_map",
-    "free_derivative",
-    "hypo_jacobian",
-    "hypomatrix_rep",
-    "hyporational_eval",
-    "identity_map",
-    "implicit_solve",
-    "injectivity_test",
-    "inverse_degree_bound",
-    "invert",
-    "iterate_split",
-    "iterates",
-    "jacobian_extract",
-    "parse_bipartite",
-    "parse_matrix_tuple",
-    "parse_poly",
-    "parse_poly_map",
-    "pmid_bound",
-    "pmid_f",
-    "poly_matrix_inverse",
-    "random_matrix_tuple",
-    "rename_letters",
-    "scion",
-    "solve_truncated",
-    "substitute",
-    "swap_kinds",
-    "vec",
-    "verify_inverse",
-]
+# each defining module and the public names it gives the package
+_EXPORTS = {
+    "bipartite": "BipartiteMatrix BipartitePoly Hyporealization NotHyporealization "
+    "bipartite_matrix_inverse hypo_jacobian hypomatrix_rep injectivity_test",
+    "deriv": "derivative_map free_derivative scion",
+    "freealg": "ArityMismatch FreePoly UnboundLetter compose identity_map rename_letters substitute swap_kinds",
+    "inverter": "InversionOutcome PmidBound inverse_degree_bound invert pmid_bound pmid_f verify_inverse",
+    "jacobian": "NotPolyInvertible PolyMatrix auxiliary_inverse jacobian_extract poly_matrix_inverse",
+    "mateval": "MatrixTuple SizeMismatch UndefinedEvaluation block_derivative_check collision_check "
+    "eval_bipartite eval_bipartite_matrix eval_poly eval_poly_map hyporational_eval random_matrix_tuple vec",
+    "parsing": "ParseError format_bipartite format_poly format_poly_map parse_bipartite parse_matrix_tuple "
+    "parse_poly parse_poly_map",
+    "scalars": "GaussianRational",
+    "sysolve": "ImproperSystem IterateSplit NonzeroConstant ProperAlgebraicSystem SingularLinearPart "
+    "check_proper implicit_solve iterate_split iterates solve_truncated",
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

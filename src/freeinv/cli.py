@@ -11,8 +11,9 @@ Exit codes: 0 mathematical success, 1 mathematical negative (not injective /
 verification false), 2 input error (including a file that cannot be read or
 written), 3 indeterminate (a cap or budget cut the search short of the
 rigorous bound), 4 internal error (an uncaught exception; `run` prints its
-traceback, `main` lets it propagate).  `invert` and `check-injective` read
-theirs from one table, `EXIT_CODES`, keyed by outcome or status.
+traceback, or one line when memory ran out, and `main` lets it propagate).
+`invert` and `check-injective` read theirs from one table, `EXIT_CODES`,
+keyed by outcome or status.
 
 The inversion loop follows the auxiliary-system iteration; the Jacobian gate
 treats "no polynomial inverse of the Jacobian up to the rigorous degree cap"
@@ -26,7 +27,9 @@ import argparse
 import json
 import sys
 
-from . import bipartite, deriv, inverter, jacobian, linalg, mateval, parsing, sysolve
+# the modules every command runs; the others are imported by the commands
+# that use them, so that `invert` loads only what it runs
+from . import inverter, jacobian, linalg, parsing, sysolve
 from .freealg import ArityMismatch, check_alphabet
 from .parsing import ParseError
 
@@ -163,22 +166,30 @@ def cmd_solve_system(args):
 
 
 def cmd_derive(args):
+    from . import deriv
+
     p = _parse_map(args.poly, args.g, self_map=False)
     derivative, lines = _render_tuple("D", deriv.derivative_map(p))
     return {"derivative": derivative}, lines, EXIT_OK
 
 
 def cmd_scion(args):
+    from . import deriv
+
     scion, lines = _render_tuple("F", deriv.scion(_parse_map(args.poly, args.g)))
     return {"scion": scion}, lines, EXIT_OK
 
 
 def cmd_hypojac(args):
+    from . import bipartite
+
     rows, lines = _render_matrix(bipartite.hypo_jacobian(_parse_map(args.poly, args.g)))
     return {"hypo_jacobian": rows}, lines, EXIT_OK
 
 
 def cmd_check_injective(args):
+    from . import bipartite
+
     p = _parse_map(args.poly, args.g)
     cap = None if args.rigorous else args.cap
     result = bipartite.injectivity_test(p, cap=cap, max_terms=args.max_terms or None)
@@ -189,6 +200,8 @@ def cmd_check_injective(args):
 
 
 def cmd_eval(args):
+    from . import mateval
+
     # the point is checked before the map is parsed
     if not (args.at or args.at_file):
         raise Stop(EXIT_INPUT_ERROR, "error: eval requires --at or --at-file")
@@ -227,6 +240,8 @@ def cmd_verify(args):
         return {"inverse_pair": ok}, [f"inverse pair: {ok}"], EXIT_OK if ok else EXIT_NEGATIVE
     # one seeded 2x2 point, evaluated exactly; only the residual is a float
     import random  # only on this path, to keep start-up lean
+
+    from . import mateval
 
     X = mateval.random_matrix_tuple(random.Random(args.seed), args.g, 2)
     resid = 0.0
@@ -349,14 +364,20 @@ def main(argv=None) -> int:
 def run(argv=None) -> int:
     """Entry point of the `freeinv` command and `python -m freeinv`: `main`,
     with any uncaught exception printed as a traceback and reported as exit
-    code 4 rather than escaping as exit 1, the "not injective" code."""
+    code 4 rather than escaping as exit 1, the "not injective" code.  Running
+    out of memory prints one fixed line instead, once the exception and the
+    frames that hold the command's data are released."""
     try:
         return main(argv)
+    except MemoryError:
+        pass
     except Exception:
         import traceback  # only on this path, to keep start-up lean
 
         traceback.print_exc()
         return EXIT_INTERNAL_ERROR
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

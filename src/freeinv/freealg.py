@@ -112,24 +112,32 @@ def word_key(w):
     return (len(w), tuple((_KIND_RANK[k], i) for (k, i) in w))
 
 
-def _letter_str(let):
-    return f"{let[0]}{let[1]}"
+class _Names(dict):
+    """code point -> '*' and its letter's name, filled on first use, so that
+    `str.translate` writes a stretch of single letters at C speed."""
+
+    def __missing__(self, code):
+        kind, i = decode_letter(chr(code))
+        name = self[code] = f"*{kind}{i}"
+        return name
 
 
-def word_str(w) -> str:
-    """Compressed display like 'x1*x2^2'; the empty word prints as '1'."""
-    if not w:
-        return "1"
-    parts = []
-    run_letter, run = w[0], 1
-    for let in w[1:]:
-        if let == run_letter:
-            run += 1
-        else:
-            parts.append(_letter_str(run_letter) + (f"^{run}" if run > 1 else ""))
-            run_letter, run = let, 1
-    parts.append(_letter_str(run_letter) + (f"^{run}" if run > 1 else ""))
-    return "*".join(parts)
+_NAMES = _Names()
+# a run of two or more equal letters in a stored word
+_RUN = re.compile(r"(.)\1+", re.DOTALL)
+
+
+def word_str(s: str) -> str:
+    """Compressed display of a stored word like 'x1*x2^2'; the empty word
+    prints as '1'.  Each run of n > 1 equal letters is written once, with
+    `^n`, and the single letters between runs by one `translate`."""
+    parts, pos = [], 0
+    for run in _RUN.finditer(s):
+        start, end = run.span()
+        parts += (s[pos:start].translate(_NAMES), f"{_NAMES[ord(run[1])]}^{end - start}")
+        pos = end
+    parts.append(s[pos:].translate(_NAMES))
+    return "".join(parts)[1:] or "1"
 
 
 def _settled(terms: dict) -> dict:
@@ -356,14 +364,17 @@ class FreePoly(Poly):
             raise TypeError(f"bad coefficient {coeff!r}")
         return cls._raw({encode(w): g} if g else {})
 
-    def sorted_terms(self):
-        """`terms()` in graded-lexicographic order."""
+    def _graded_items(self):
+        """The stored (word, coefficient) pairs in graded-lexicographic order."""
         # renumber the letters that occur in letter order, so that comparing
         # the renumbered words compares them letter by letter
         letters = sorted(set().union(*self._terms), key=lambda ch: word_key((decode_letter(ch),)))
         table = {ord(ch): n for n, ch in enumerate(letters, 1)}
-        ordered = sorted(self._terms.items(), key=lambda t: (len(t[0]), t[0].translate(table)))
-        return [(decode(w), c) for w, c in ordered]
+        return sorted(self._terms.items(), key=lambda t: (len(t[0]), t[0].translate(table)))
+
+    def sorted_terms(self):
+        """`terms()` in graded-lexicographic order."""
+        return [(decode(w), c) for w, c in self._graded_items()]
 
     def coefficient(self, w):
         return self._terms.get(encode(w), 0)
@@ -665,7 +676,7 @@ def substitute_tracked(f: FreePoly, images, *, default_identity=False, trunc=Non
             if stop is None:
                 live[w] = coeff
             elif stop not in bound and low <= limit:
-                raise UnboundLetter(f"no substitution image for letter {_letter_str(decode_letter(stop))}")
+                raise UnboundLetter(f"no substitution image for letter {word_str(stop)}")
             else:
                 dropped = dropped or deg > limit
     if not live:

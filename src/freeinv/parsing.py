@@ -30,7 +30,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .freealg import KINDS, MAX_INDEX, FreePoly, word_key, word_str
+from .freealg import KINDS, MAX_INDEX, FreePoly, encode, word_key, word_str
 from .scalars import GaussianRational, as_gaussian, format_scalar, scalar_needs_parens
 
 # the longest word `^k` may build; a longer one is an input error, not a
@@ -298,7 +298,7 @@ def parse_poly(text: str) -> FreePoly:
 
 
 def format_poly(f: FreePoly) -> str:
-    return _format_sum((word_str(w) if w else None, c) for w, c in f.sorted_terms())
+    return _format_sum((word_str(w) if w else None, c) for w, c in f._graded_items())
 
 
 def parse_poly_map(strings):
@@ -323,7 +323,7 @@ def format_bipartite(b) -> str:
     ordered = sorted(
         b.terms(), key=lambda t: (len(t[0][0]) + len(t[0][1]), word_key(t[0][0]), word_key(t[0][1]))
     )
-    return _format_sum((f"{word_str(u)} (x) {word_str(v)}", c) for (u, v), c in ordered)
+    return _format_sum((f"{word_str(encode(u))} (x) {word_str(encode(v))}", c) for (u, v), c in ordered)
 
 
 # -- exact scalars and matrix tuples ----------------------------------------

@@ -365,6 +365,20 @@ def test_internal_error_exits_4_with_traceback(monkeypatch, capsys):
     assert run(["verify", "-g", "1", "--p", "x1", "--q", "2*x1"]) == 1
 
 
+def test_out_of_memory_exits_4_with_one_line(monkeypatch, capsys):
+    # exit 1 is the "not injective" verdict: running out of memory must not
+    # reach it, and prints one fixed line rather than a traceback
+    from freeinv import sysolve
+    from freeinv.cli import run
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(sysolve, "iterates", exhausted)
+    assert run(["aux-iterate", "-g", "2", "-k", "8", "x1", "x2 + x1^2"]) == 4
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_library_unbound_letter_is_an_internal_error(monkeypatch, capsys):
     # every command checks the alphabet first, so no input reaches this
     from freeinv import UnboundLetter, deriv

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given
 
 from freeinv import BipartitePoly, FreePoly, UnboundLetter
-from freeinv.freealg import KINDS, decode, encode, substitute_tracked
-from freeinv.parsing import format_poly
+from freeinv.freealg import KINDS, decode, encode, substitute_tracked, word_str
+from freeinv.parsing import format_poly, parse_poly
 
 import strategies as S
 from test_substitute import RefUnbound, collect, ref_substitute
@@ -97,6 +97,40 @@ def test_graded_lex_is_kind_major_not_code_major():
         (("x", 2),), (("y", 1),), (("k", 1),), (("x", 1), ("k", 50)),
     ]
     assert format_poly(p) == "x2 + y1 + k1 + x1*k50"
+
+
+def ref_word_str(w):
+    """The display of a tuple word, letter by letter: a run of n > 1 equal
+    letters is written once, with `^n`."""
+    runs = []
+    for let in w:
+        if runs and runs[-1][0] == let:
+            runs[-1][1] += 1
+        else:
+            runs.append([let, 1])
+    return "*".join(f"{kind}{i}" + (f"^{n}" if n > 1 else "") for (kind, i), n in runs) or "1"
+
+
+# words made of runs, equal neighbouring runs merging into one
+run_words = st.lists(st.tuples(letters, st.integers(1, 30)), max_size=4).map(
+    lambda runs: tuple(let for let, n in runs for _ in range(n))
+)
+
+
+@given(run_words)
+def test_word_str_writes_each_run_once(w):
+    assert word_str(encode(w)) == ref_word_str(w)
+
+
+def test_format_poly_writes_long_runs_of_every_kind():
+    long = (("x", 1),) * 2000 + (("x", 3),) + (("x", 1),) * 2000
+    kinds = ((("x", 12),) * 10 + (("y", 12),) + (("z", 3),) * 11 + (("w", 40),) + (("h", 100),) * 2
+             + (("k", 7),))
+    p = FreePoly({(): 3, long: -1, kinds: 1, (("k", 185_685),): 1})
+    text = format_poly(p)
+    assert text == "3 + k185685 + x12^10*y12*z3^11*w40*h100^2*k7 - x1^2000*x3*x1^2000"
+    assert [word_str(encode(w)) for w, _ in p.sorted_terms()] == [ref_word_str(w) for w, _ in p.sorted_terms()]
+    assert parse_poly(text) == p
 
 
 # -- ring products against tuple-word references ----------------------------
