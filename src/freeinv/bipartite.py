@@ -43,7 +43,7 @@ class BipartitePoly(Poly):
 
     __slots__ = ()
     _ONE_KEY = SEP
-    _key_degree = staticmethod(lambda k: len(k) - 1)
+    _pad = 1  # the separator
     _norm_key = staticmethod(lambda k: encode(k[0]) + SEP + encode(k[1])[::-1])
 
     @staticmethod

@@ -161,11 +161,12 @@ class Poly:
     the terms given as (key, coefficient) `pairs` into the term dict `out`,
     key product inlined, zero sums dropped; `_left` puts a term dict in the
     form `_mac` reads its left factor in, so a caller that multiplies one
-    left factor by many right ones prepares it once),
-    `_key_degree` (graded degree of a key), `_norm_key` (the stored form of a
-    key given to the constructor) and `_decode_key` (its public form, as
-    `terms()` returns it).  Everything else -- normalisation, constructors,
-    equality, ring arithmetic and graded queries -- is shared.
+    left factor by many right ones prepares it once), `_pad` (the number of
+    non-letter characters in a key: its graded degree is its length minus
+    `_pad`), `_norm_key` (the stored form of a key given to the constructor)
+    and `_decode_key` (its public form, as `terms()` returns it).  Everything
+    else -- normalisation, constructors, equality, ring arithmetic and graded
+    queries -- is shared.
 
     Both rings key a term by one `str`: a `FreePoly` key is its word, and a
     `BipartitePoly` key is the left word, the separator chr(0) and the right
@@ -252,11 +253,11 @@ class Poly:
 
     def degree(self):
         """Max key degree, or -inf for the zero polynomial."""
-        return max(map(self._key_degree, self._terms), default=NEG_INF)
+        return max(map(len, self._terms), default=NEG_INF) - self._pad
 
     def homogeneous_part(self, m: int):
-        deg = self._key_degree
-        return self._raw({k: c for k, c in self._terms.items() if deg(k) == m})
+        size = m + self._pad
+        return self._raw({k: c for k, c in self._terms.items() if len(k) == size})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -321,7 +322,7 @@ class FreePoly(Poly):
 
     __slots__ = ()
     _ONE_KEY = EMPTY_WORD
-    _key_degree = staticmethod(len)
+    _pad = 0
     _norm_key = staticmethod(encode)
     _decode_key = staticmethod(decode)
     # a prepared left factor is the view of its items, no copy

@@ -15,7 +15,13 @@ nonzero entries and terms it produces.  A nonzero layer above the cap
 certifies that no inverse of degree <= cap exists: the formal inverse of a
 matrix with invertible constant part is unique and two-sided, so any
 polynomial inverse would be it.  Every positive answer is still checked by
-exact two-sided multiplication.
+exact two-sided multiplication, M*R = I = R*M, on raw term dicts: each entry
+of both products is summed through `_mac` and compared with the identity's
+entry, {1: 1} or {}, and the first entry that differs answers no; no product
+matrix is built.  Raw-dict equality is exact: it compares coefficient values,
+so an unnarrowed Fraction(1) or GaussianRational(1) equals 1, and `_mac`
+deletes every sum that cancels, so an entry is {1: 1} or {} exactly when its
+value is 1 or 0.
 """
 
 from __future__ import annotations
@@ -176,7 +182,8 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
 
     - e consecutive zero layers make every later layer zero, so R is the
       polynomial summed so far.  It is returned only after the exact check
-      M*R = I = R*M.
+      M*R = I = R*M (`_inverts`), which compares each entry of both products,
+      summed into a raw term dict, with the identity's.
     - A nonzero layer of degree m > `degree_cap` is the degree-m part of the
       unique inverse, so no polynomial inverse of degree <= `degree_cap`
       exists.  At the rigorous cap this proves none exists; at a smaller cap
@@ -202,7 +209,7 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
     if degree_cap < 0:
         raise ValueError("degree_cap must be >= 0")
     cls, ring = type(M), M.ring
-    mac, left, one, key_degree = ring._mac, ring._left, ring._ONE_KEY, ring._key_degree
+    mac, left, one, pad = ring._mac, ring._left, ring._ONE_KEY, ring._pad
     n = M.rows
     m0_inv = linalg.inverse(M.constant_part())
     if m0_inv is None:
@@ -215,7 +222,7 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
         for k, e in enumerate(row):
             for key, c in e._terms.items():
                 if key != one:
-                    parts.setdefault(key_degree(key), {}).setdefault((i, k), {})[key] = -c
+                    parts.setdefault(len(key) - pad, {}).setdefault((i, k), {})[key] = -c
     if not parts:
         return cls([[ring.scalar(c) for c in row] for row in m0_inv])
     deg_n = max(parts)
@@ -264,10 +271,31 @@ def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
             for t in cell[1:]:
                 cell[0].update(t)
     R = cls([[ring._raw(cell[0] if cell else {}) for cell in row] for row in kept])
-    ident = cls.identity(n)
-    if M * R == ident and R * M == ident:
+    if _inverts(M, R):
         return R
     return NotPolyInvertible(REASON_NO_INVERSE_UP_TO_CAP, degree_cap)
+
+
+def _inverts(M, R):
+    """Are M*R and R*M both the identity?  Each entry of the two products
+    is summed into a raw term dict by the ring's kernel and compared with
+    the identity's, {1: 1} on the diagonal and {} off it; the first entry
+    that differs answers no.  No product matrix, `Poly` or narrowing pass is
+    made.  The comparison is exact: dict equality compares coefficient
+    values, so an unnarrowed Fraction(1) or GaussianRational(1) equals 1,
+    and `_mac` deletes every sum that cancels."""
+    mac, left, one = M.ring._mac, M.ring._left, M.ring._ONE_KEY
+    for a, b in ((M, R), (R, M)):
+        cols = [[e._terms.items() for e in col] for col in zip(*b.entries)]
+        for i, row in enumerate(a.entries):
+            row = [left(e._terms) for e in row]
+            for j, col in enumerate(cols):
+                terms = {}
+                for x, y in zip(row, col):
+                    mac(terms, x, y)
+                if terms != ({one: 1} if i == j else {}):
+                    return False
+    return True
 
 
 def _lone_non_unit(entries, one):

@@ -8,18 +8,22 @@ shares nothing with the engine but the polynomial ring arithmetic.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
-from freeinv import BipartiteMatrix, FreePoly, PolyMatrix, injectivity_test
+from freeinv import BipartiteMatrix, FreePoly, GaussianRational, PolyMatrix, injectivity_test
 from freeinv.jacobian import (
     REASON_NO_INVERSE_UP_TO_CAP,
     REASON_TERM_BUDGET,
+    Matrix,
     NotPolyInvertible,
+    _inverts,
     poly_matrix_inverse,
 )
+from freeinv.scalars import exact
 
 from corpus import NILPOTENT
 
@@ -272,3 +276,107 @@ def test_budget_cut_series_builds_no_inverse():
         tracemalloc.stop()
     assert (res.status, res.cap_used) == ("indeterminate", 24)
     assert peak < 7.3 * 2**20
+
+
+# -- the exact two-sided check ----------------------------------------------
+
+RING_KEYS = pytest.mark.parametrize(
+    "cls, key",
+    [(PolyMatrix, (("x", 1), ("x", 2))), (BipartiteMatrix, ((("y", 1),), (("x", 2),)))],
+    ids=["free", "bipartite"],
+)
+I = GaussianRational(0, 1)
+CONSTANT_PARTS = pytest.mark.parametrize(
+    "m0, m0_inv",
+    [
+        # determinant -2: the inverse holds halves
+        ([[1, 1], [1, -1]], [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(-1, 2)]]),
+        # determinant i
+        ([[I, 1], [0, 1]], [[-I, I], [0, 1]]),
+    ],
+    ids=["det2", "gaussian"],
+)
+
+
+def m0_times_unipotent(cls, key, m0, m0_inv):
+    """M = M0 (I + N w) with N = [[1, 1], [-1, -1]] (N^2 = 0), and its
+    inverse (I - N w) M0^-1, both formed by matrix products."""
+    ring = cls.ring
+    w, o = ring({key: 1}), ring.one()
+
+    def scalars(rows):
+        return cls([[ring.scalar(c) for c in row] for row in rows])
+
+    M = scalars(m0) * cls([[o + w, w], [-w, o - w]])
+    return M, cls([[o - w, -w], [w, o + w]]) * scalars(m0_inv)
+
+
+def with_entry(R, i, j, entry):
+    rows = [list(row) for row in R.entries]
+    rows[i][j] = entry
+    return type(R)(rows)
+
+
+@RING_KEYS
+@CONSTANT_PARTS
+def test_check_accepts_fraction_and_gaussian_inverses(monkeypatch, cls, key, m0, m0_inv):
+    M, R = m0_times_unipotent(cls, key, m0, m0_inv)
+    res = poly_matrix_inverse(M, 2)
+    assert res == R
+    coeffs = [c for row in res.entries for e in row for _, c in e.terms()]
+    # the inverse holds what M0^-1 holds, each coefficient in its narrowest
+    # type; the sums the check compares are not narrowed
+    assert {type(c) for c in coeffs} >= {type(c) for row in m0_inv for c in row if c}
+    assert all(type(c) is type(exact(c)) for c in coeffs)
+    # a positive forms both products in full: 2 products x 4 entries x 2
+    # kernel calls per entry
+    calls = []
+    mac = cls.ring._mac
+    monkeypatch.setattr(cls.ring, "_mac", staticmethod(lambda *a: calls.append(1) or mac(*a)))
+    assert _inverts(M, res)
+    assert len(calls) == 16
+
+
+@RING_KEYS
+@CONSTANT_PARTS
+def test_check_rejects_a_changed_coefficient_or_swapped_columns(cls, key, m0, m0_inv):
+    M, R = m0_times_unipotent(cls, key, m0, m0_inv)
+    assert _inverts(M, R)
+    for i, row in enumerate(R.entries):
+        for j, e in enumerate(row):
+            for k in e._terms:
+                for delta in (1, I):
+                    changed = dict(e._terms)
+                    changed[k] += delta
+                    wrong = with_entry(R, i, j, cls.ring._summed(changed))
+                    assert not _inverts(M, wrong) and not _inverts(wrong, M)
+    swapped = cls([row[::-1] for row in R.entries])
+    assert not _inverts(M, swapped) and not _inverts(swapped, M)
+
+
+@settings(max_examples=60)
+@given(series_cases(), st.data())
+def test_check_rejects_every_engine_inverse_with_one_coefficient_changed(case, data):
+    M, cap, _ = case
+    R = poly_matrix_inverse(M, cap)
+    assume(isinstance(R, Matrix))
+    assert _inverts(M, R)
+    cells = [(i, j) for i, row in enumerate(R.entries) for j, e in enumerate(row) if e]
+    i, j = data.draw(st.sampled_from(cells))
+    terms = dict(R[i][j]._terms)
+    key = data.draw(st.sampled_from(sorted(terms)))
+    terms[key] += data.draw(st.sampled_from((-1, 1, Fraction(1, 3))))
+    assert not _inverts(M, with_entry(R, i, j, M.ring._summed(terms)))
+
+
+@RING_KEYS
+@CONSTANT_PARTS
+def test_inverse_builds_no_product_matrix(monkeypatch, cls, key, m0, m0_inv):
+    M, R = m0_times_unipotent(cls, key, m0, m0_inv)
+
+    def refuse(self, other):
+        raise AssertionError("the series inverse multiplied two matrices")
+
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    assert poly_matrix_inverse(M, 2) == R
+    assert injectivity_test((x1, x2 + x1 * x1 - 3 * x1 * x1 * x1)).status == "injective"
