@@ -19,8 +19,8 @@ _EXPORTS = {
     "bipartite_matrix_inverse hypo_jacobian hypomatrix_rep injectivity_test",
     "deriv": "derivative_map free_derivative scion",
     "freealg": "ArityMismatch FreePoly UnboundLetter compose identity_map rename_letters substitute swap_kinds",
-    "inverter": "InversionOutcome PmidBound inverse_degree_bound invert pmid_bound pmid_f verify_inverse",
-    "jacobian": "NotPolyInvertible PolyMatrix auxiliary_inverse jacobian_extract poly_matrix_inverse",
+    "inverter": "InversionOutcome auxiliary_inverse inverse_degree_bound invert verify_inverse",
+    "jacobian": "NotPolyInvertible PolyMatrix jacobian_extract pmid_bound pmid_f poly_matrix_inverse",
     "mateval": "MatrixTuple SizeMismatch UndefinedEvaluation block_derivative_check collision_check "
     "eval_bipartite eval_bipartite_matrix eval_poly eval_poly_map hyporational_eval random_matrix_tuple vec",
     "parsing": "ParseError format_bipartite format_poly format_poly_map parse_bipartite parse_matrix_tuple "

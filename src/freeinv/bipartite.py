@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .freealg import FreePoly, Poly, check_alphabet, decode, decode_letter, encode, encode_letter
-from .jacobian import REASON_TERM_BUDGET, Matrix, poly_matrix_inverse
-from .inverter import check_limits, rigorous_cap
+from .jacobian import REASON_TERM_BUDGET, Matrix, check_limits, poly_matrix_inverse, rigorous_cap
 from .sysolve import ProperAlgebraicSystem, check_proper
 
 # the separator between a key's two sides; letter codes start at chr(1)

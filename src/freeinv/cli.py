@@ -143,7 +143,7 @@ def cmd_aux_iterate(args):
             raise Stop(EXIT_INDETERMINATE, f"{out_of_budget} while inverting the Jacobian")
         # a certified negative, reported as `invert` reports it
         return _verdict(inverter.gate_outcome(j_inv))
-    system = jacobian.auxiliary_inverse(p, j_inv)
+    system = inverter.auxiliary_inverse(p, j_inv)
     # the budget bounds every iterate on the way to the k-th, as in `invert`
     for split in sysolve.iterates(system, args.trunc):
         if budget is not None and split.terms > budget:

@@ -107,9 +107,13 @@ def decode(s: str) -> tuple:
     return tuple(map(decode_letter, s))
 
 
-def word_key(w):
-    """Graded-lexicographic sort key."""
-    return (len(w), tuple((_KIND_RANK[k], i) for (k, i) in w))
+def letter_order(words) -> dict:
+    """`str.translate` table that renumbers the letters of the stored `words`
+    1, 2, ... in letter order (kind, then index), so that comparing renumbered
+    words compares them letter by letter."""
+    # a letter's code is 6 (index - 1) + its kind's rank + 1
+    letters = sorted(set().union(*words), key=lambda ch: ((ord(ch) - 1) % 6, ord(ch)))
+    return {ord(ch): n for n, ch in enumerate(letters, 1)}
 
 
 class _Names(dict):
@@ -367,10 +371,7 @@ class FreePoly(Poly):
 
     def _graded_items(self):
         """The stored (word, coefficient) pairs in graded-lexicographic order."""
-        # renumber the letters that occur in letter order, so that comparing
-        # the renumbered words compares them letter by letter
-        letters = sorted(set().union(*self._terms), key=lambda ch: word_key((decode_letter(ch),)))
-        table = {ord(ch): n for n, ch in enumerate(letters, 1)}
+        table = letter_order(self._terms)
         return sorted(self._terms.items(), key=lambda t: (len(t[0]), t[0].translate(table)))
 
     def sorted_terms(self):

@@ -39,6 +39,7 @@ from .freealg import (
     FreePoly,
     check_alphabet,
     compose,
+    encode_letter,
     identity_map,
     map_degree,
 )
@@ -46,11 +47,14 @@ from .jacobian import (
     REASON_SINGULAR_CONSTANT,
     REASON_TERM_BUDGET,
     NotPolyInvertible,
-    auxiliary_inverse,
+    PolyMatrix,
+    check_limits,
     jacobian_extract,
+    pmid_bound,
     poly_matrix_inverse,
+    rigorous_cap,
 )
-from .sysolve import iterates
+from .sysolve import ProperAlgebraicSystem, check_proper, iterates
 
 OUTCOME_INVERSE = "inverse"
 OUTCOME_NOT_INJECTIVE = "not-injective"
@@ -61,24 +65,6 @@ REASON_JACOBIAN_NOT_POLY_INVERTIBLE = "jacobian-not-poly-invertible"
 REASON_DEGREE_EXCEEDED = "degree-exceeded"
 REASON_ITERATION_EXCEEDED = "iteration-exceeded"
 REASON_CAP = "cap-exceeded"
-REASON_BUDGET = "term-budget-exceeded"
-
-
-def pmid_f(n: int) -> int:
-    """f(1) = 1, f(n+1) = (n+1)^3 f(n); closed form (n!)^3."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    value = 1
-    for m in range(2, n + 1):
-        value *= m**3
-    return value
-
-
-def rigorous_cap(M) -> int:
-    """Degree cap 3^n f(n) deg(M) past which a square polynomial matrix over
-    either ring provably has no polynomial inverse."""
-    deg = M.degree()
-    return pmid_bound(M.rows, 0 if deg == NEG_INF else int(deg)).bound
 
 
 def jacobian_gate(p0, max_terms=None):
@@ -89,6 +75,25 @@ def jacobian_gate(p0, max_terms=None):
     return poly_matrix_inverse(jac, rigorous_cap(jac), max_terms=max_terms)
 
 
+def auxiliary_inverse(p, j_inv: PolyMatrix):
+    """Build the proper algebraic system x * Jinv(z) from a verified inverse Jacobian:
+    component j is {x_s + w(z): c} over s and the terms w(x) c of Jinv[s][j], built in
+    one pass, since distinct (s, w) give distinct words and nothing is summed."""
+    g = len(p)
+    check_alphabet(p, g)
+    if any(comp.constant_term() for comp in p):
+        raise ValueError("auxiliary inverse requires a map without constant term")
+    to_z = {ord(encode_letter(("x", i + 1))): encode_letter(("z", i + 1)) for i in range(g)}
+    xs = [encode_letter(("x", s + 1)) for s in range(j_inv.rows)]
+    system = ProperAlgebraicSystem(
+        FreePoly._raw({x + w.translate(to_z): c for x, e in zip(xs, col) for w, c in e._terms.items()})
+        for col in zip(*j_inv.entries)
+    )
+    if not check_proper(system):
+        raise ValueError("auxiliary inverse failed the proper-system invariants")
+    return system
+
+
 def gate_outcome(failure) -> InversionOutcome:
     """The answer of `invert` when the Jacobian gate returns the
     NotPolyInvertible `failure`: not injective, or indeterminate when the
@@ -96,34 +101,15 @@ def gate_outcome(failure) -> InversionOutcome:
     if failure.reason == REASON_SINGULAR_CONSTANT:
         return InversionOutcome(OUTCOME_NOT_INJECTIVE, reason=REASON_SINGULAR_JACOBIAN_CONSTANT)
     if failure.reason == REASON_TERM_BUDGET:
-        return InversionOutcome(OUTCOME_INDETERMINATE, reason=REASON_BUDGET, cap_used=failure.cap)
+        return InversionOutcome(OUTCOME_INDETERMINATE, reason=REASON_TERM_BUDGET, cap_used=failure.cap)
     return InversionOutcome(OUTCOME_NOT_INJECTIVE, reason=REASON_JACOBIAN_NOT_POLY_INVERTIBLE)
-
-
-@dataclass(frozen=True)
-class PmidBound:
-    """Degree cap 3^n f(n) d for polynomial inverses of n x n matrices of degree d."""
-
-    g: int
-    d: int
-    f_value: int
-    bound: int
-
-
-def pmid_bound(n: int, d: int) -> PmidBound:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    f_value = pmid_f(n)
-    return PmidBound(n, d, f_value, 3**n * f_value * d)
 
 
 def inverse_degree_bound(g: int, deg_p: int) -> int:
     """Upper bound B on the degree of a polynomial inverse of a degree-deg_p map."""
     if deg_p < 1:
         raise ValueError("deg_p must be >= 1")
-    return pmid_bound(g, deg_p - 1).bound + 1
+    return pmid_bound(g, deg_p - 1) + 1
 
 
 @dataclass(frozen=True)
@@ -158,13 +144,6 @@ class InversionOutcome:
             if value is not None:
                 data[field] = value
         return data
-
-
-def check_limits(cap, max_terms):
-    """`cap` and `max_terms` must each be None or an int >= 0."""
-    for name, value in (("cap", cap), ("max_terms", max_terms)):
-        if not (value is None or type(value) is int and value >= 0):
-            raise ValueError(f"{name} must be None or an int >= 0, got {value!r}")
 
 
 def verify_inverse(p, q) -> bool:
@@ -228,7 +207,7 @@ def invert(p, cap: int | None = None, max_terms: int | None = None) -> Inversion
             final = split.exact or w == w_outer
             if max_terms is not None and split.terms > max_terms:
                 return outcome(
-                    OUTCOME_INDETERMINATE, iterations=k, reason=REASON_BUDGET, cap_used=w
+                    OUTCOME_INDETERMINATE, iterations=k, reason=REASON_TERM_BUDGET, cap_used=w
                 )
             head_deg = split.head_degree()
             head_deg_int = 0 if head_deg == NEG_INF else int(head_deg)

@@ -1,4 +1,4 @@
-"""Left Jacobian matrices, verified polynomial matrix inversion, auxiliary inverses.
+"""Left Jacobian matrices, verified polynomial matrix inversion and its degree bound.
 
 The left Jacobian of a map p is the unique matrix J with
 p(x) = p(0) + x*J(x); entry J[s][j] collects the words of p_j that start with
@@ -31,15 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import linalg
-from .freealg import (
-    NEG_INF,
-    FreePoly,
-    _settled,
-    check_alphabet,
-    decode_letter,
-    encode_letter,
-)
-from .sysolve import ProperAlgebraicSystem, check_proper
+from .freealg import NEG_INF, FreePoly, _settled, decode_letter
 
 REASON_SINGULAR_CONSTANT = "singular-constant-term"
 REASON_NO_INVERSE_UP_TO_CAP = "no-polynomial-inverse-up-to-cap"
@@ -168,6 +160,39 @@ def reconstruct(constants, J):
     """Inverse of jacobian_extract: p(x) = p(0) + x*J(x)."""
     x = PolyMatrix([[FreePoly.letter("x", s + 1) for s in range(J.rows)]])
     return tuple(e + c for e, c in zip((x * J)[0], constants))
+
+
+def pmid_f(n: int) -> int:
+    """f(1) = 1, f(n+1) = (n+1)^3 f(n); closed form (n!)^3."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    value = 1
+    for m in range(2, n + 1):
+        value *= m**3
+    return value
+
+
+def pmid_bound(n: int, d: int) -> int:
+    """Degree cap 3^n f(n) d for polynomial inverses of n x n matrices of degree d."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if d < 0:
+        raise ValueError("d must be >= 0")
+    return 3**n * pmid_f(n) * d
+
+
+def rigorous_cap(M) -> int:
+    """Degree cap 3^n f(n) deg(M) past which a square polynomial matrix over
+    either ring provably has no polynomial inverse."""
+    deg = M.degree()
+    return pmid_bound(M.rows, 0 if deg == NEG_INF else int(deg))
+
+
+def check_limits(cap, max_terms):
+    """`cap` and `max_terms` must each be None or an int >= 0."""
+    for name, value in (("cap", cap), ("max_terms", max_terms)):
+        if not (value is None or type(value) is int and value >= 0):
+            raise ValueError(f"{name} must be None or an int >= 0, got {value!r}")
 
 
 def poly_matrix_inverse(M: Matrix, degree_cap: int, max_terms=None):
@@ -340,22 +365,3 @@ def _lone_non_unit(entries, one):
         else:
             return True
     return False
-
-
-def auxiliary_inverse(p, j_inv: PolyMatrix):
-    """Build the proper algebraic system x * Jinv(z) from a verified inverse Jacobian:
-    component j is {x_s + w(z): c} over s and the terms w(x) c of Jinv[s][j], built in
-    one pass, since distinct (s, w) give distinct words and nothing is summed."""
-    g = len(p)
-    check_alphabet(p, g)
-    if any(comp.constant_term() for comp in p):
-        raise ValueError("auxiliary inverse requires a map without constant term")
-    to_z = {ord(encode_letter(("x", i + 1))): encode_letter(("z", i + 1)) for i in range(g)}
-    xs = [encode_letter(("x", s + 1)) for s in range(j_inv.rows)]
-    system = ProperAlgebraicSystem(
-        FreePoly._raw({x + w.translate(to_z): c for x, e in zip(xs, col) for w, c in e._terms.items()})
-        for col in zip(*j_inv.entries)
-    )
-    if not check_proper(system):
-        raise ValueError("auxiliary inverse failed the proper-system invariants")
-    return system

@@ -30,7 +30,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .freealg import KINDS, MAX_INDEX, FreePoly, encode, word_key, word_str
+from .freealg import KINDS, MAX_INDEX, FreePoly, letter_order, word_str
 from .scalars import GaussianRational, as_gaussian, format_scalar, scalar_needs_parens
 
 # the longest word `^k` may build; a longer one is an input error, not a
@@ -320,10 +320,15 @@ def parse_bipartite(text: str):
 
 
 def format_bipartite(b) -> str:
-    ordered = sorted(
-        b.terms(), key=lambda t: (len(t[0][0]) + len(t[0][1]), word_key(t[0][0]), word_key(t[0][1]))
-    )
-    return _format_sum((f"{word_str(encode(u))} (x) {word_str(encode(v))}", c) for (u, v), c in ordered)
+    from .bipartite import SEP
+
+    # a stored key is the left word, SEP and the right word reversed
+    sides = [(u, rv[::-1], c) for k, c in b._terms.items() for u, rv in [k.split(SEP)]]
+    table = letter_order(u + v for u, v, _ in sides)
+    # graded-lex on (left, right): total length, then each side in the order
+    # of `format_poly`; with both lengths equal, u + v compares u, then v
+    sides.sort(key=lambda t: (len(t[0]) + len(t[1]), len(t[0]), (t[0] + t[1]).translate(table)))
+    return _format_sum((f"{word_str(u)} (x) {word_str(v)}", c) for u, v, c in sides)
 
 
 # -- exact scalars and matrix tuples ----------------------------------------

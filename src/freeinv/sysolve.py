@@ -143,10 +143,6 @@ class ProperAlgebraicSystem:
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
 
-    @property
-    def h(self):
-        return len(self.components)
-
     @cached_property
     def images(self):
         """The components as the images of z1..zh, set up once per system,

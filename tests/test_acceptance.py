@@ -179,7 +179,7 @@ def test_criterion_5_degree_bound_arithmetic():
 
     for n in range(1, 6):
         assert pmid_f(n) == math.factorial(n) ** 3
-    assert pmid_bound(2, 2).bound == 144
+    assert pmid_bound(2, 2) == 144
     assert inverse_degree_bound(2, 3) == 145
     report(5, "f(1..5) matches the closed form; B(g=2, deg 3) = 145")
 

@@ -60,9 +60,9 @@ def test_pmid_f_values():
 
 
 def test_pmid_bound_values():
-    assert pmid_bound(2, 2).bound == 144
-    assert pmid_bound(1, 0).bound == 0
-    assert pmid_bound(3, 1).bound == 27 * 216
+    assert pmid_bound(2, 2) == 144
+    assert pmid_bound(1, 0) == 0
+    assert pmid_bound(3, 1) == 27 * 216
 
 
 def test_inverse_degree_bound_values():
@@ -150,6 +150,22 @@ def test_invert_exact_pass_is_final(monkeypatch, p, expected, steps):
     out = invert(p)
     assert (out.outcome, out.reason, out.iterations, out.bound_B, out.cap_used) == expected
     assert len(calls) == steps
+
+
+@pytest.mark.parametrize(
+    "p, cap, expected",
+    [
+        # a final pass past the bound at a cap below the rigorous one is only
+        # indeterminate, at that cap
+        (P_CLASSIC, 200, ("indeterminate", "cap-exceeded", 74, 145, 200)),
+        # a head degree past the bound in a pass that has dropped words asks
+        # for a larger working degree; the final pass certifies the negative
+        ((x1, x2 - x1 * x2 * x1 - x1**2 * x2 * x1**2), None, ("not-injective", "degree-exceeded", 146, 289, 1446)),
+    ],
+)
+def test_invert_past_the_bound(p, cap, expected):
+    out = invert(p, cap=cap)
+    assert (out.outcome, out.reason, out.iterations, out.bound_B, out.cap_used) == expected
 
 
 @pytest.mark.parametrize("call", [invert, injectivity_test])

@@ -38,6 +38,22 @@ def test_invert_leaves_the_other_modules_unloaded(tmp_path):
     assert not {"freeinv.bipartite", "freeinv.mateval", "freeinv.deriv"} & set(loaded)
 
 
+@pytest.mark.parametrize(
+    "module, unloaded",
+    [
+        ("jacobian", {"freeinv.sysolve", "freeinv.inverter"}),
+        ("bipartite", {"freeinv.inverter"}),
+        ("mateval", {"freeinv.inverter"}),
+    ],
+)
+def test_a_module_loads_none_above_it(tmp_path, module, unloaded):
+    # the matrix engine loads neither the fixed-point engine nor the
+    # inversion driver, and the bipartite ring and evaluation load no driver
+    loaded = eval(run_python(f"import sys, freeinv.{module}; {LOADED}", tmp_path))
+    assert f"freeinv.{module}" in loaded
+    assert not unloaded & set(loaded)
+
+
 def test_every_public_name_is_its_module_attribute(tmp_path):
     out = run_python(
         "import importlib, freeinv\n"
@@ -51,7 +67,7 @@ def test_every_public_name_is_its_module_attribute(tmp_path):
         "print(len(freeinv.__all__))",
         tmp_path,
     )
-    assert int(out) == 62
+    assert int(out) == 61
 
 
 def test_star_import_and_submodule_import(tmp_path):

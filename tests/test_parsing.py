@@ -17,6 +17,7 @@ from freeinv import (
     parse_matrix_tuple,
     parse_poly,
 )
+from freeinv.freealg import KINDS, MAX_INDEX
 from freeinv.parsing import format_matrix_tuple, parse_scalar
 
 import strategies as S
@@ -274,3 +275,30 @@ def test_empty_left_side_after_a_coefficient():
     assert parse_bipartite("(1+2i)*1 (x) 1") == BipartitePoly({((), ()): GaussianRational(1, 2)})
     assert parse_poly("2*1 + x1") == x1 + 2
     assert parse_bipartite("0") == BipartitePoly.zero()
+
+
+# -- the term order of the bipartite renderer ---------------------------------
+
+# every kind, and indices whose digit strings sort apart from their values
+every_side = st.lists(
+    st.tuples(st.sampled_from(KINDS), st.sampled_from([1, 2, 9, 10, 11, 100, MAX_INDEX])), max_size=3
+).map(tuple)
+
+
+def graded_lex(w):
+    """A decoded word's order: length, then its letters, each by kind and then index."""
+    return len(w), [(KINDS.index(kind), i) for kind, i in w]
+
+
+@given(st.lists(st.tuples(every_side, every_side), unique=True, max_size=8))
+@example([((("x", 10),), ()), ((("x", 9),), ()), ((), (("k", 1),)), ((("x", 2),), (("y", 1),)), ((("x", 1),) * 2, ())])
+def test_format_bipartite_writes_terms_in_graded_lex_order(pairs):
+    # the coefficient n + 2 marks the n-th pair, so the printed coefficients
+    # give the order the renderer chose
+    text = format_bipartite(BipartitePoly({pair: n + 2 for n, pair in enumerate(pairs)}))
+    printed = [int(term.split("*", 1)[0]) - 2 for term in text.split(" + ")] if pairs else []
+    expected = sorted(
+        range(len(pairs)),
+        key=lambda n: (len(pairs[n][0]) + len(pairs[n][1]), graded_lex(pairs[n][0]), graded_lex(pairs[n][1])),
+    )
+    assert printed == expected
